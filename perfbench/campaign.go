@@ -109,9 +109,9 @@ func (c *campaign) pass(sp *spans, g *gate) (passStats, error) {
 	defer os.RemoveAll(dir)
 	watch := startWatch()
 
-	id := sp.begin("traceio.ingest")
+	t := sp.begin()
 	bfs, err := traceio.LoadWorkloadFile(c.tracePath)
-	sp.end(id)
+	sp.end("traceio.ingest", t)
 	if err != nil {
 		return passStats{}, fmt.Errorf("replaying %s: %w", c.tracePath, err)
 	}
@@ -129,15 +129,15 @@ func (c *campaign) pass(sp *spans, g *gate) (passStats, error) {
 		ExtraWorkloads: append(append([]*sim.Workload(nil), c.synthetic...), bfs),
 	})
 
-	id = sp.begin("profile.sweep")
+	t = sp.begin()
 	profs, err := h.WorkloadProfiles(h.EvalWorkloads())
-	sp.end(id)
+	sp.end("profile.sweep", t)
 	if err != nil {
 		return passStats{}, err
 	}
-	id = sp.begin("experiments.grid")
+	t = sp.begin()
 	cells, err := h.GridCells("scheme")
-	sp.end(id)
+	sp.end("experiments.grid", t)
 	if err != nil {
 		return passStats{}, err
 	}

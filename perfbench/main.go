@@ -19,7 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -29,6 +28,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -82,9 +82,18 @@ type workloadDef struct {
 
 var workloadDefs = []workloadDef{evalMemDef, computeDef, campaignDef, serveMixedDef}
 
-// setups is how many times a run builds its workload; setup_s is the
-// median, and all but the last instance are closed unused.
-const setups = 9
+// Set-up is timed in batches. Each batch builds the workload until the
+// set-up calls have used setupBatchCPU of process CPU time and yields
+// the CPU time per set-up; setup_s is the median over the batches. One
+// set-up takes from 0.2 ms (building a catalogue) to a few ms, far too
+// little to time one at a time on a shared host. The first batch builds
+// the instance the run measures; an untraced run then times one more
+// batch after every pass, and tops up to setupBatches at the end, so
+// set-up is sampled across the run as the passes are.
+const (
+	setupBatches  = 7
+	setupBatchCPU = 250 * time.Millisecond
+)
 
 func main() {
 	name := flag.String("workload", "", "workload to run: eval-mem, compute, campaign or serve-mixed")
@@ -131,23 +140,10 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	fmt.Printf("workload: %s\n", def.why)
 	fmt.Printf("load: %s\n", def.load)
 
-	// Set up several times; keep the last instance.
-	var setupTimes []float64
-	var inst instance
-	for i := 0; i < setups; i++ {
-		t0 := time.Now()
-		in, err := def.setup(seed, filepath.Join(work, fmt.Sprintf("setup%d", i)))
-		if err != nil {
-			return fmt.Errorf("setup: %w", err)
-		}
-		setupTimes = append(setupTimes, time.Since(t0).Seconds())
-		if i < setups-1 {
-			if err := in.close(); err != nil {
-				return err
-			}
-		} else {
-			inst = in
-		}
+	st := &setupTimer{def: def, seed: seed, dir: work}
+	inst, err := st.batch()
+	if err != nil {
+		return fmt.Errorf("setup: %w", err)
 	}
 	defer inst.close()
 	if err := inst.warmup(); err != nil {
@@ -159,9 +155,9 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	budget := time.Duration(seconds) * time.Second
 	var rep report
 	if traced == 0 {
-		rep, err = measure(inst, g, sp, budget, setupTimes)
+		rep, err = measure(inst, g, sp, budget, st)
 	} else {
-		rep, err = measureTraced(inst, g, sp, budget, filepath.Join(work, "cpu"), name, seed)
+		rep, err = measureTraced(inst, g, sp, budget, filepath.Join(work, "cpu"))
 	}
 	if err != nil {
 		return err
@@ -201,6 +197,53 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	}
 	fmt.Println(string(out))
 	return nil
+}
+
+// setupTimer builds a workload's instances in timed batches.
+type setupTimer struct {
+	def   *workloadDef
+	seed  int64
+	dir   string
+	built int
+	times []float64 // CPU seconds per set-up, one per batch
+}
+
+// batch builds instances until the set-up calls have used
+// setupBatchCPU, records the batch's CPU time per set-up, and returns
+// the last instance; the others are closed between the timed calls.
+func (st *setupTimer) batch() (instance, error) {
+	var inst instance
+	var used time.Duration
+	count := 0
+	for used < setupBatchCPU {
+		if inst != nil {
+			if err := inst.close(); err != nil {
+				return nil, err
+			}
+		}
+		dir := filepath.Join(st.dir, fmt.Sprintf("setup%d", st.built))
+		st.built++
+		w := startWatch()
+		in, err := st.def.setup(st.seed, dir)
+		_, cpu := w.stop()
+		if err != nil {
+			return nil, err
+		}
+		inst = in
+		used += cpu
+		count++
+	}
+	st.times = append(st.times, used.Seconds()/float64(count))
+	return inst, nil
+}
+
+// spareBatch times a batch whose instances are all closed unused.
+func (st *setupTimer) spareBatch() error {
+	inst, err := st.batch()
+	if err != nil {
+		return fmt.Errorf("setup: %w", err)
+	}
+	return inst.close()
 }
 
 // checkDeclared verifies that the metrics are exactly the ones
@@ -244,14 +287,16 @@ func keepPassing(start time.Time, budget time.Duration, durs []float64) bool {
 
 // measure runs untraced passes for the budget and reports the
 // end-to-end metrics.
-func measure(inst instance, g *gate, sp *spans, budget time.Duration, setupTimes []float64) (report, error) {
-	heap := startHeapSampler()
+func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupTimer) (report, error) {
 	start := time.Now()
 	var walls, cpus, rates, wallRates []float64
 	var last passStats
+	var peak float64
 	lat := map[string][]float64{}
 	for keepPassing(start, budget, walls) {
+		heap := startHeapSampler()
 		ps, err := inst.pass(sp, g)
+		peak = max(peak, heap.stop())
 		if err != nil {
 			return report{}, err
 		}
@@ -263,14 +308,22 @@ func measure(inst instance, g *gate, sp *spans, budget time.Duration, setupTimes
 			lat[k] = append(lat[k], v...)
 		}
 		last = ps
+		if err := st.spareBatch(); err != nil {
+			return report{}, err
+		}
 	}
-	peak := heap.stop()
+	for len(st.times) < setupBatches {
+		if err := st.spareBatch(); err != nil {
+			return report{}, err
+		}
+	}
+	fmt.Printf("set-up: CPU ms per set-up in each of %d batches %v\n", len(st.times), roundAll(scaled(st.times, 1e3)))
 	q1, q3 := quartiles(cpus)
 	fmt.Printf("passes: %d, wall s %v, cpu s %v (median %.3f, quartiles %.3f..%.3f)\n",
 		len(walls), roundAll(walls), roundAll(cpus), median(cpus), q1, q3)
 	printWorkloadFigures(last, lat, median(wallRates), median(rates))
 	return report{Metrics: map[string]metric{
-		"setup_s":        {median(setupTimes), "s"},
+		"setup_s":        {median(st.times), "s"},
 		"pass_cpu_s":     {median(cpus), "s"},
 		"work_per_cpu_s": {median(rates), "1/s"},
 		"peak_heap_mb":   {peak / (1 << 20), "MB"},
@@ -304,7 +357,7 @@ func printWorkloadFigures(ps passStats, lat map[string][]float64, workPerS, work
 // and reports the per-layer metrics of the traced passes: the CPU
 // profile folded by module, the benchmark's own spans around the
 // public calls, and the counters the result types expose.
-func measureTraced(inst instance, g *gate, sp *spans, budget time.Duration, profDir, name string, seed int64) (report, error) {
+func measureTraced(inst instance, g *gate, sp *spans, budget time.Duration, profDir string) (report, error) {
 	if err := os.MkdirAll(profDir, 0o755); err != nil {
 		return report{}, err
 	}
@@ -382,9 +435,6 @@ func measureTraced(inst instance, g *gate, sp *spans, budget time.Duration, prof
 	ms["wall.pass_s"] = metric{median(plain), "s"}
 	ms["wall.work_per_s"] = metric{median(plainRates), "1/s"}
 	ms["trace_overhead"] = metric{median(tracedCPU) / median(plainCPU), "ratio"}
-	if err := sp.write(filepath.Join(".bench_build", "perfbench-spans", fmt.Sprintf("%s-seed%d.json", name, seed))); err != nil {
-		return report{}, err
-	}
 	return report{Metrics: ms}, nil
 }
 
@@ -401,9 +451,9 @@ func tracedPass(inst instance, g *gate, sp *spans, file string) (passStats, floa
 		out.Close()
 		return passStats{}, 0, 0, err
 	}
-	sp.startPass()
+	sp.on.Store(true)
 	ps, err := inst.pass(sp, g)
-	sp.endPass()
+	sp.on.Store(false)
 	pprof.StopCPUProfile()
 	runtime.ReadMemStats(&after)
 	if cerr := out.Close(); err == nil {
@@ -448,6 +498,14 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
+func scaled(xs []float64, f float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = x * f
+	}
+	return out
+}
+
 func roundAll(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
@@ -467,43 +525,39 @@ func describeHost() string {
 			}
 		}
 	}
-	commit := "unknown"
+	commit, modified := "unknown", ""
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
+			switch s.Key {
+			case "vcs.revision":
 				commit = s.Value
+			case "vcs.modified":
+				if s.Value == "true" {
+					modified = "+modified"
+				}
 			}
 		}
 	}
-	return fmt.Sprintf("cpu=%q nproc=%d GOMAXPROCS=%d go=%s commit=%s source=%s",
-		cpu, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), commit, sourceDigest("."))
+	return fmt.Sprintf("cpu=%q nproc=%d GOMAXPROCS=%d go=%s commit=%s perfbench=%s",
+		cpu, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), commit+modified, benchDigest("perfbench"))
 }
 
-// sourceDigest fingerprints the Go sources under root (hidden
-// directories such as .bench_build skipped), so a run names the code it
-// measured even in a checkout without version-control metadata.
-func sourceDigest(root string) string {
-	h := sha256.New()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !(strings.HasSuffix(path, ".go") || d.Name() == "go.mod") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(path), len(data))
-		h.Write(data)
-		return nil
-	})
+// benchDigest fingerprints the benchmark's own Go sources in dir, so a
+// run names the benchmark code it ran even in a checkout without
+// version-control metadata.
+func benchDigest(dir string) string {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return "unknown"
+	}
+	h := sha256.New()
+	for _, f := range append(files, filepath.Join(dir, "go.mod")) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return "unknown"
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(f), len(data))
+		h.Write(data)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:12]
 }
@@ -533,10 +587,12 @@ func processCPU() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// heapSampler tracks the live-heap high-water mark by polling the
-// runtime's count of bytes the last GC cycle marked live; the runtime
-// keeps no peak itself. Live bytes, unlike the heap including garbage,
-// do not depend on where GC cycles happen to fall.
+// heapSampler tracks the live-heap high-water mark of one pass by
+// polling the runtime's count of bytes the last GC cycle marked live;
+// the runtime keeps no peak itself. Live bytes, unlike the heap
+// including garbage, do not depend on where GC cycles happen to fall.
+// Only cycles that started after the sampler did count, so objects of
+// the set-ups timed between passes never do.
 type heapSampler struct {
 	stopCh chan struct{}
 	done   chan struct{}
@@ -545,14 +601,17 @@ type heapSampler struct {
 
 func startHeapSampler() *heapSampler {
 	h := &heapSampler{stopCh: make(chan struct{}), done: make(chan struct{})}
-	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(sample)
+	// A cycle in progress now ends as cycle first-1 and may have marked
+	// objects from before the pass.
+	first := sample[1].Value.Uint64() + 2
 	read := func() {
 		metrics.Read(sample)
-		if v := float64(sample[0].Value.Uint64()); v > h.peak {
+		if v := float64(sample[0].Value.Uint64()); sample[1].Value.Uint64() >= first && v > h.peak {
 			h.peak = v
 		}
 	}
-	read()
 	go func() {
 		defer close(h.done)
 		t := time.NewTicker(2 * time.Millisecond)
@@ -570,74 +629,41 @@ func startHeapSampler() *heapSampler {
 	return h
 }
 
-// stop ends sampling and returns the peak in bytes.
+// stop ends sampling and returns the peak in bytes (0 if no GC cycle
+// both started and ended while sampling).
 func (h *heapSampler) stop() float64 {
 	close(h.stopCh)
 	<-h.done
 	return h.peak
 }
 
-// spans records timed intervals around the public calls the
-// benchmark makes, in memory, while enabled (traced passes only). Each
-// span's parent is the traced pass that caused it.
+// spans sums, by name, the time spent in the public calls the
+// benchmark makes, while enabled (traced passes only).
 type spans struct {
-	mu   sync.Mutex
-	on   bool
-	t0   time.Time
-	pass int // id of the open pass span
-	list []span
+	on     atomic.Bool
+	mu     sync.Mutex
+	totals map[string]time.Duration
 }
 
-type span struct {
-	ID     int     `json:"id"`
-	Parent int     `json:"parent"`
-	Name   string  `json:"name"`
-	Start  float64 `json:"start_s"`
-	End    float64 `json:"end_s"`
-}
-
-// startPass enables recording and opens a pass span.
-func (s *spans) startPass() {
-	s.mu.Lock()
-	if s.t0.IsZero() {
-		s.t0 = time.Now()
+// begin starts a span; it returns the zero time when tracing is off.
+func (s *spans) begin() time.Time {
+	if !s.on.Load() {
+		return time.Time{}
 	}
-	s.on = true
-	s.mu.Unlock()
-	id := s.begin("pass")
-	s.mu.Lock()
-	s.pass = id
-	s.mu.Unlock()
+	return time.Now()
 }
 
-// endPass closes the pass span and disables recording.
-func (s *spans) endPass() {
-	s.end(s.pass)
-	s.mu.Lock()
-	s.on, s.pass = false, 0
-	s.mu.Unlock()
-}
-
-// begin opens a span under the current pass and returns its id (0 when
-// tracing is off).
-func (s *spans) begin(name string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.on {
-		return 0
-	}
-	s.list = append(s.list, span{ID: len(s.list) + 1, Parent: s.pass, Name: name,
-		Start: time.Since(s.t0).Seconds()})
-	return len(s.list)
-}
-
-// end closes span id.
-func (s *spans) end(id int) {
-	if id == 0 {
+// end adds the time since start to the spans called name.
+func (s *spans) end(name string, start time.Time) {
+	if start.IsZero() {
 		return
 	}
+	d := time.Since(start)
 	s.mu.Lock()
-	s.list[id-1].End = time.Since(s.t0).Seconds()
+	if s.totals == nil {
+		s.totals = map[string]time.Duration{}
+	}
+	s.totals[name] += d
 	s.mu.Unlock()
 }
 
@@ -645,25 +671,5 @@ func (s *spans) end(id int) {
 func (s *spans) total(name string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t float64
-	for _, sp := range s.list {
-		if sp.Name == name {
-			t += sp.End - sp.Start
-		}
-	}
-	return t
-}
-
-// write saves the spans as JSON once the run ends.
-func (s *spans) write(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.Marshal(s.list)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return s.totals[name].Seconds()
 }

@@ -3,12 +3,11 @@
 # repository root:
 #   bash perfbench/run.sh --workload eval-mem --seed 1 --seconds 26 --trace 0
 # The toolchain's caches and home directory, the binary and every file
-# the benchmark writes stay under .bench_build/ (or $CARGO_TARGET_DIR).
+# the benchmark writes stay under .bench_build/.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
-build="${CARGO_TARGET_DIR:-.bench_build}"
-case "$build" in /*) ;; *) build="$root/$build" ;; esac
+build="$root/.bench_build"
 mkdir -p "$build/home"
 export HOME="$build/home" GOCACHE="$build/gocache" GOMODCACHE="$build/gomod" GOPATH="$build/gopath"
 export GOTOOLCHAIN=local GOWORK=off

@@ -279,11 +279,9 @@ func (m *serveMix) pass(sp *spans, g *gate) (passStats, error) {
 				if c == 0 && (i-serveWarmup)%serveIngestEvery == serveIngestEvery-1 && next < len(m.records) {
 					rec := m.records[next]
 					next++
-					id := sp.begin("serve.ingest")
 					t := time.Now()
 					rep, err := cl.IngestRecord(ctx, rec)
 					lg.ingestMS = append(lg.ingestMS, float64(time.Since(t).Nanoseconds())/1e6)
-					sp.end(id)
 					if err == nil && rep.Samples != len(rec.Samples) {
 						err = fmt.Errorf("ingest %s: reply counts %d samples, sent %d", rec.Signature.Workload, rep.Samples, len(rec.Samples))
 					}
@@ -301,11 +299,9 @@ func (m *serveMix) pass(sp *spans, g *gate) (passStats, error) {
 					continue
 				}
 				reqs := m.request(c, i)
-				id := sp.begin("serve.decide")
 				t := time.Now()
 				reps, err := cl.Decide(ctx, reqs)
 				lg.decideUS = append(lg.decideUS, float64(time.Since(t).Nanoseconds())/1e3)
-				sp.end(id)
 				after := s.srv.Decider().Version()
 				if err == nil && len(reps) != serveBatch {
 					err = fmt.Errorf("decide: %d replies to %d requests", len(reps), serveBatch)

@@ -88,9 +88,9 @@ func (in *simInstance) pass(sp *spans, g *gate) (passStats, error) {
 			if scheme == "Poise" {
 				pol = poise.NewPolicy(in.params, in.weights)
 			}
-			id := sp.begin("sim.run")
+			t := sp.begin()
 			res, err := runTraced(in.cfg, wl, pol)
-			sp.end(id)
+			sp.end("sim.run", t)
 			item := wl.Name + "/" + scheme
 			if err != nil {
 				g.check(item, simGroups, nil, err)

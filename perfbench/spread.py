@@ -4,10 +4,11 @@ and spread (interquartile distance as a share of the median), checked
 against the bounds in BENCHMARK.json.
 
     python3 perfbench/spread.py --workloads eval-mem,compute --seeds 1-10 \
-        [--trace 0] [--out perfbench/trajectory/<name>.json]
+        [--trace 0] [--out set2.json] [--against set1.json]
 
 Run from the repository root. A spread must stay below a third of the
-metric's bound (setup_s is exempt from the spread rule).
+metric's bound. With --against, each median must also be no worse than
+the median of the earlier set in that file by more than the bound.
 """
 import argparse
 import json
@@ -33,9 +34,12 @@ def main():
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("--trace", default="0")
     ap.add_argument("--out")
+    ap.add_argument("--against")
     args = ap.parse_args()
     bench = json.load(open("BENCHMARK.json"))
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    earlier = json.load(open(args.against)) if args.against else {}
     summary = {}
     ok = True
     for wl in args.workloads.split(","):
@@ -67,11 +71,18 @@ def main():
             verdict = ""
             if name in bounds:
                 limit = bounds[name] / 3
-                if name != "setup_s" and spread >= limit:
+                if spread >= limit:
                     verdict = f"  SPREAD >= bound/3 ({limit:.3f})"
                     ok = False
                 else:
                     verdict = f"  (bound/3 = {limit:.3f})"
+                if name in earlier.get(wl, {}):
+                    before = earlier[wl][name]["median"]
+                    worse = (med - before) / before if lower[name] else (before - med) / before
+                    verdict += f"  vs earlier {before:.6g}: {-worse:+.3f}"
+                    if worse > bounds[name]:
+                        verdict += " WORSE BY MORE THAN BOUND"
+                        ok = False
             print(f"  {wl:12s} {name:24s} median {med:12.6g}  spread {spread:.4f}{verdict}")
     if args.out:
         with open(args.out, "w") as f:
