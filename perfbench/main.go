@@ -140,7 +140,8 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	fmt.Printf("workload: %s\n", def.why)
 	fmt.Printf("load: %s\n", def.load)
 
-	st := &setupTimer{def: def, seed: seed, dir: work}
+	heap := startHeapSampler()
+	st := &setupTimer{def: def, seed: seed, dir: work, heap: heap}
 	inst, err := st.batch()
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
@@ -155,8 +156,9 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	budget := time.Duration(seconds) * time.Second
 	var rep report
 	if traced == 0 {
-		rep, err = measure(inst, g, sp, budget, st)
+		rep, err = measure(inst, g, sp, budget, st, heap)
 	} else {
+		heap.stop()
 		rep, err = measureTraced(inst, g, sp, budget, filepath.Join(work, "cpu"))
 	}
 	if err != nil {
@@ -206,6 +208,7 @@ type setupTimer struct {
 	dir   string
 	built int
 	times []float64 // CPU seconds per set-up, one per batch
+	heap  *heapSampler
 }
 
 // batch builds instances until the set-up calls have used
@@ -237,8 +240,11 @@ func (st *setupTimer) batch() (instance, error) {
 	return inst, nil
 }
 
-// spareBatch times a batch whose instances are all closed unused.
+// spareBatch times a batch whose instances are all closed unused; the
+// live-heap sampler leaves it out.
 func (st *setupTimer) spareBatch() error {
+	st.heap.pause()
+	defer st.heap.resume()
 	inst, err := st.batch()
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
@@ -287,16 +293,13 @@ func keepPassing(start time.Time, budget time.Duration, durs []float64) bool {
 
 // measure runs untraced passes for the budget and reports the
 // end-to-end metrics.
-func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupTimer) (report, error) {
+func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupTimer, heap *heapSampler) (report, error) {
 	start := time.Now()
 	var walls, cpus, rates, wallRates []float64
 	var last passStats
-	var peak float64
 	lat := map[string][]float64{}
 	for keepPassing(start, budget, walls) {
-		heap := startHeapSampler()
 		ps, err := inst.pass(sp, g)
-		peak = max(peak, heap.stop())
 		if err != nil {
 			return report{}, err
 		}
@@ -312,6 +315,7 @@ func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupT
 			return report{}, err
 		}
 	}
+	peak := heap.stop()
 	for len(st.times) < setupBatches {
 		if err := st.spareBatch(); err != nil {
 			return report{}, err
@@ -587,31 +591,26 @@ func processCPU() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// heapSampler tracks the live-heap high-water mark of one pass by
-// polling the runtime's count of bytes the last GC cycle marked live;
-// the runtime keeps no peak itself. Live bytes, unlike the heap
-// including garbage, do not depend on where GC cycles happen to fall.
-// Only cycles that started after the sampler did count, so objects of
-// the set-ups timed between passes never do.
+// heapSampler tracks the live-heap high-water mark by polling the
+// runtime's count of bytes the last GC cycle marked live; the runtime
+// keeps no peak itself. Live bytes, unlike the heap including garbage,
+// do not depend on where GC cycles happen to fall. While paused, and
+// until a GC cycle that starts after the pause has ended, nothing
+// counts, so the spare set-up batches between passes never do.
 type heapSampler struct {
 	stopCh chan struct{}
 	done   chan struct{}
+	mu     sync.Mutex
+	sample []metrics.Sample
+	paused bool
+	first  uint64 // first GC cycle count that counts
 	peak   float64
 }
 
 func startHeapSampler() *heapSampler {
-	h := &heapSampler{stopCh: make(chan struct{}), done: make(chan struct{})}
-	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
-	metrics.Read(sample)
-	// A cycle in progress now ends as cycle first-1 and may have marked
-	// objects from before the pass.
-	first := sample[1].Value.Uint64() + 2
-	read := func() {
-		metrics.Read(sample)
-		if v := float64(sample[0].Value.Uint64()); sample[1].Value.Uint64() >= first && v > h.peak {
-			h.peak = v
-		}
-	}
+	h := &heapSampler{stopCh: make(chan struct{}), done: make(chan struct{}),
+		sample: []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}}
+	h.read()
 	go func() {
 		defer close(h.done)
 		t := time.NewTicker(2 * time.Millisecond)
@@ -619,18 +618,41 @@ func startHeapSampler() *heapSampler {
 		for {
 			select {
 			case <-h.stopCh:
-				read()
+				h.read()
 				return
 			case <-t.C:
-				read()
+				h.read()
 			}
 		}
 	}()
 	return h
 }
 
-// stop ends sampling and returns the peak in bytes (0 if no GC cycle
-// both started and ended while sampling).
+func (h *heapSampler) read() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	metrics.Read(h.sample)
+	if v := float64(h.sample[0].Value.Uint64()); !h.paused && h.sample[1].Value.Uint64() >= h.first && v > h.peak {
+		h.peak = v
+	}
+}
+
+func (h *heapSampler) pause() {
+	h.mu.Lock()
+	h.paused = true
+	h.mu.Unlock()
+}
+
+// resume counts again from the second GC cycle to end from now on: a
+// cycle in progress may have marked objects of the paused section.
+func (h *heapSampler) resume() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	metrics.Read(h.sample)
+	h.paused, h.first = false, h.sample[1].Value.Uint64()+2
+}
+
+// stop ends sampling and returns the peak in bytes.
 func (h *heapSampler) stop() float64 {
 	close(h.stopCh)
 	<-h.done
