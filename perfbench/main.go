@@ -140,8 +140,7 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	fmt.Printf("workload: %s\n", def.why)
 	fmt.Printf("load: %s\n", def.load)
 
-	heap := startHeapSampler()
-	st := &setupTimer{def: def, seed: seed, dir: work, heap: heap}
+	st := &setupTimer{def: def, seed: seed, dir: work}
 	inst, err := st.batch()
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
@@ -156,9 +155,8 @@ func run(name string, seed int64, seconds, traced int, writeGolden bool) error {
 	budget := time.Duration(seconds) * time.Second
 	var rep report
 	if traced == 0 {
-		rep, err = measure(inst, g, sp, budget, st, heap)
+		rep, err = measure(inst, g, sp, budget, st)
 	} else {
-		heap.stop()
 		rep, err = measureTraced(inst, g, sp, budget, filepath.Join(work, "cpu"))
 	}
 	if err != nil {
@@ -208,7 +206,6 @@ type setupTimer struct {
 	dir   string
 	built int
 	times []float64 // CPU seconds per set-up, one per batch
-	heap  *heapSampler
 }
 
 // batch builds instances until the set-up calls have used
@@ -220,7 +217,11 @@ func (st *setupTimer) batch() (instance, error) {
 	count := 0
 	for used < setupBatchCPU {
 		if inst != nil {
-			if err := inst.close(); err != nil {
+			err := inst.close()
+			// Drop the closed instance before building the next, so
+			// at most one is live at a time.
+			inst = nil
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -240,11 +241,8 @@ func (st *setupTimer) batch() (instance, error) {
 	return inst, nil
 }
 
-// spareBatch times a batch whose instances are all closed unused; the
-// live-heap sampler leaves it out.
+// spareBatch times a batch whose instances are all closed unused.
 func (st *setupTimer) spareBatch() error {
-	st.heap.pause()
-	defer st.heap.resume()
 	inst, err := st.batch()
 	if err != nil {
 		return fmt.Errorf("setup: %w", err)
@@ -293,13 +291,15 @@ func keepPassing(start time.Time, budget time.Duration, durs []float64) bool {
 
 // measure runs untraced passes for the budget and reports the
 // end-to-end metrics.
-func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupTimer, heap *heapSampler) (report, error) {
+func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupTimer) (report, error) {
 	start := time.Now()
-	var walls, cpus, rates, wallRates []float64
+	var walls, cpus, rates, wallRates, live []float64
 	var last passStats
 	lat := map[string][]float64{}
 	for keepPassing(start, budget, walls) {
+		heap := startHeapSampler()
 		ps, err := inst.pass(sp, g)
+		live = append(live, heap.stop()...)
 		if err != nil {
 			return report{}, err
 		}
@@ -315,7 +315,9 @@ func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupT
 			return report{}, err
 		}
 	}
-	peak := heap.stop()
+	if len(live) == 0 {
+		return report{}, errors.New("no GC cycle ran within a pass")
+	}
 	for len(st.times) < setupBatches {
 		if err := st.spareBatch(); err != nil {
 			return report{}, err
@@ -327,10 +329,10 @@ func measure(inst instance, g *gate, sp *spans, budget time.Duration, st *setupT
 		len(walls), roundAll(walls), roundAll(cpus), median(cpus), q1, q3)
 	printWorkloadFigures(last, lat, median(wallRates), median(rates))
 	return report{Metrics: map[string]metric{
-		"setup_s":        {median(st.times), "s"},
-		"pass_cpu_s":     {median(cpus), "s"},
-		"work_per_cpu_s": {median(rates), "1/s"},
-		"peak_heap_mb":   {peak / (1 << 20), "MB"},
+		"setup_s":          {median(st.times), "s"},
+		"pass_cpu_s":       {median(cpus), "s"},
+		"work_per_cpu_s":   {median(rates), "1/s"},
+		"live_heap_p90_mb": {percentile(live, 90) / (1 << 20), "MB"},
 	}}, nil
 }
 
@@ -591,26 +593,31 @@ func processCPU() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// heapSampler tracks the live-heap high-water mark by polling the
-// runtime's count of bytes the last GC cycle marked live; the runtime
-// keeps no peak itself. Live bytes, unlike the heap including garbage,
-// do not depend on where GC cycles happen to fall. While paused, and
-// until a GC cycle that starts after the pause has ended, nothing
-// counts, so the spare set-up batches between passes never do.
+// heapSampler records the live heap after each GC cycle of a pass, by
+// polling the runtime's count of bytes the last cycle marked live.
+// Only cycles that start after the sampler does count, so objects of
+// the set-ups timed between passes never do.
 type heapSampler struct {
 	stopCh chan struct{}
 	done   chan struct{}
-	mu     sync.Mutex
-	sample []metrics.Sample
-	paused bool
-	first  uint64 // first GC cycle count that counts
-	peak   float64
+	live   []float64
 }
 
 func startHeapSampler() *heapSampler {
-	h := &heapSampler{stopCh: make(chan struct{}), done: make(chan struct{}),
-		sample: []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}}
-	h.read()
+	h := &heapSampler{stopCh: make(chan struct{}), done: make(chan struct{})}
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(sample)
+	// A cycle in progress now ends as cycle first-1 and may have marked
+	// objects from before the pass.
+	first := sample[1].Value.Uint64() + 2
+	seen := first - 1
+	read := func() {
+		metrics.Read(sample)
+		if c := sample[1].Value.Uint64(); c >= first && c != seen {
+			seen = c
+			h.live = append(h.live, float64(sample[0].Value.Uint64()))
+		}
+	}
 	go func() {
 		defer close(h.done)
 		t := time.NewTicker(2 * time.Millisecond)
@@ -618,45 +625,21 @@ func startHeapSampler() *heapSampler {
 		for {
 			select {
 			case <-h.stopCh:
-				h.read()
+				read()
 				return
 			case <-t.C:
-				h.read()
+				read()
 			}
 		}
 	}()
 	return h
 }
 
-func (h *heapSampler) read() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	metrics.Read(h.sample)
-	if v := float64(h.sample[0].Value.Uint64()); !h.paused && h.sample[1].Value.Uint64() >= h.first && v > h.peak {
-		h.peak = v
-	}
-}
-
-func (h *heapSampler) pause() {
-	h.mu.Lock()
-	h.paused = true
-	h.mu.Unlock()
-}
-
-// resume counts again from the second GC cycle to end from now on: a
-// cycle in progress may have marked objects of the paused section.
-func (h *heapSampler) resume() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	metrics.Read(h.sample)
-	h.paused, h.first = false, h.sample[1].Value.Uint64()+2
-}
-
-// stop ends sampling and returns the peak in bytes.
-func (h *heapSampler) stop() float64 {
+// stop ends sampling and returns the live bytes seen after each cycle.
+func (h *heapSampler) stop() []float64 {
 	close(h.stopCh)
 	<-h.done
-	return h.peak
+	return h.live
 }
 
 // spans sums, by name, the time spent in the public calls the
