@@ -209,6 +209,24 @@ func (c Config) Validate() error {
 	case c.MaxThreadsPerSM < c.MaxWarpsPerSM()*c.WarpWidth:
 		return fmt.Errorf("config: MaxThreadsPerSM %d below warp capacity %d",
 			c.MaxThreadsPerSM, c.MaxWarpsPerSM()*c.WarpWidth)
+	// A hit returning at cycle 0 would read as the scoreboard's
+	// "miss outstanding" sentinel (Pending.RetCycle == 0).
+	case c.L1HitLatency <= 0:
+		return errors.New("config: L1HitLatency must be positive")
+	case c.NoCFlitBytes <= 0:
+		return errors.New("config: NoCFlitBytes must be positive")
+	case c.NoCCyclesPerFl <= 0:
+		return errors.New("config: NoCCyclesPerFl must be positive")
+	case c.ALULatency < 0:
+		return errors.New("config: ALULatency must not be negative")
+	case c.NoCLatency < 0:
+		return errors.New("config: NoCLatency must not be negative")
+	case c.L2LatencyCore < 0:
+		return errors.New("config: L2LatencyCore must not be negative")
+	case c.DRAMLatency < 0:
+		return errors.New("config: DRAMLatency must not be negative")
+	case c.DRAMCyclesPerReq < 0:
+		return errors.New("config: DRAMCyclesPerReq must not be negative")
 	}
 	if err := c.L1.Validate(); err != nil {
 		return fmt.Errorf("L1: %w", err)

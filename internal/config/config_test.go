@@ -113,6 +113,17 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"l2 banks", func(c *Config) { c.L2Banks = 0 }},
 		{"l2 split", func(c *Config) { c.L2.SizeBytes = 1000; c.L2Banks = 7 }},
 		{"dram", func(c *Config) { c.DRAMPartitions = 0 }},
+		{"zero flit", func(c *Config) { c.NoCFlitBytes = 0 }},
+		{"negative flit", func(c *Config) { c.NoCFlitBytes = -32 }},
+		{"instant port", func(c *Config) { c.NoCCyclesPerFl = 0 }},
+		{"negative port", func(c *Config) { c.NoCCyclesPerFl = -2 }},
+		{"instant hit", func(c *Config) { c.L1HitLatency = 0 }},
+		{"negative hit", func(c *Config) { c.L1HitLatency = -1 }},
+		{"negative alu", func(c *Config) { c.ALULatency = -1 }},
+		{"negative noc", func(c *Config) { c.NoCLatency = -1 }},
+		{"negative l2", func(c *Config) { c.L2LatencyCore = -1 }},
+		{"negative dram latency", func(c *Config) { c.DRAMLatency = -1 }},
+		{"negative dram bandwidth", func(c *Config) { c.DRAMCyclesPerReq = -1 }},
 	}
 	for _, tc := range cases {
 		c := Default()
@@ -120,6 +131,21 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("%s: expected validation error", tc.name)
 		}
+	}
+}
+
+// TestValidateAcceptsZeroLatencies pins the other side of the timing
+// checks: a zero pipeline, wire, L2, DRAM or bus latency is an
+// idealised but well-defined machine.
+func TestValidateAcceptsZeroLatencies(t *testing.T) {
+	c := Default()
+	c.ALULatency = 0
+	c.NoCLatency = 0
+	c.L2LatencyCore = 0
+	c.DRAMLatency = 0
+	c.DRAMCyclesPerReq = 0
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -269,7 +269,7 @@ func (g *GPU) issueOne(s *sm.SM, sch *sm.Scheduler) bool {
 	}
 
 	sch.IssueCycles++
-	if w.Advance(g.bodyLen) {
+	if w.Advance(g.bodyLen, g.now) {
 		g.retireWarp(s, sch, slot)
 	}
 	return true

@@ -109,6 +109,7 @@ func (wp *Warp) decodeState(r *snap.Reader) error {
 		wp.Pend = nil // match the post-Reset zero value
 	}
 	wp.tokenSeq = r.Varint()
+	wp.refresh() // the scoreboard cache is derived, not encoded
 	return r.Err()
 }
 

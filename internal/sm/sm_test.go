@@ -137,15 +137,17 @@ func TestPickRespectsVitality(t *testing.T) {
 }
 
 func TestWarpDependencyBlocking(t *testing.T) {
-	var w Warp
-	w.Active = true
-	w.FlatIdx = 10
+	w := Warp{Active: true, TotalIters: 1, FlatIdx: 10}
 	tok := w.NewToken()
 	w.AddPending(Pending{Token: tok, DepFlat: 12})
 	if !w.CanIssue(0) {
 		t.Fatal("independent instructions may issue under an outstanding load")
 	}
-	w.FlatIdx = 12
+	w.Advance(16, 0)
+	if !w.CanIssue(0) {
+		t.Fatal("independent instructions may issue under an outstanding load")
+	}
+	w.Advance(16, 0)
 	if w.CanIssue(0) {
 		t.Fatal("reaching the dependent instruction must block")
 	}
@@ -193,11 +195,11 @@ func TestWarpAdvance(t *testing.T) {
 	w := Warp{Active: true, TotalIters: 2}
 	bodyLen := 3
 	for i := 0; i < 5; i++ {
-		if w.Advance(bodyLen) {
+		if w.Advance(bodyLen, 0) {
 			t.Fatalf("finished too early at step %d", i)
 		}
 	}
-	if !w.Advance(bodyLen) {
+	if !w.Advance(bodyLen, 0) {
 		t.Fatal("must finish after 2 iterations x 3 instructions")
 	}
 }

@@ -39,6 +39,17 @@ type Warp struct {
 
 	Pend     []Pending
 	tokenSeq int64
+
+	// depUntil caches the scoreboard: the first cycle at which every
+	// operand of the next instruction is available. A pending entry is
+	// relevant when FlatIdx >= DepFlat (the next instruction uses its
+	// data). depUntil is 0 when no relevant entry is undone, NoDep
+	// while a relevant miss or replay token is outstanding, and else
+	// the latest RetCycle of the relevant L1 hits. It is a pure
+	// function of Pend and FlatIdx, refreshed by every method that
+	// changes either: AddPending, ResolveToken, Advance (through
+	// compact) and decodeState.
+	depUntil int64
 }
 
 // NewToken mints a load token for this warp.
@@ -47,53 +58,73 @@ func (w *Warp) NewToken() int64 {
 	return w.tokenSeq
 }
 
-// AddPending registers an outstanding load.
-func (w *Warp) AddPending(p Pending) { w.Pend = append(w.Pend, p) }
+// AddPending registers an outstanding load. A load that replays adds
+// an entry per attempt without issuing, so before the list would grow
+// it drops its resolved entries; every hit has RetCycle > 0, so
+// compact(0) keeps all of them.
+func (w *Warp) AddPending(p Pending) {
+	if len(w.Pend) == cap(w.Pend) {
+		w.compact(0)
+	}
+	w.Pend = append(w.Pend, p)
+	if w.FlatIdx >= p.DepFlat {
+		w.depUntil = blockUntil(w.depUntil, p)
+	}
+}
+
+// blockUntil folds one undone relevant entry into a depUntil value.
+func blockUntil(until int64, p Pending) int64 {
+	if p.RetCycle == 0 {
+		return NoDep
+	}
+	return max(until, p.RetCycle)
+}
 
 // ResolveToken marks the pending load with the given token complete.
 // It reports whether the token was found.
 func (w *Warp) ResolveToken(token int64) bool {
 	for i := range w.Pend {
-		if w.Pend[i].Token == token {
-			w.Pend[i].Done = true
+		p := &w.Pend[i]
+		if p.Token == token {
+			p.Done = true
+			if w.FlatIdx >= p.DepFlat {
+				w.refresh()
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// depBlocked reports whether the warp's next instruction depends on an
-// outstanding load, lazily retiring completed entries.
-func (w *Warp) depBlocked(now int64) bool {
-	blocked := false
+// refresh recomputes depUntil from Pend and FlatIdx.
+func (w *Warp) refresh() {
+	w.depUntil = 0
+	for _, p := range w.Pend {
+		if !p.Done && w.FlatIdx >= p.DepFlat {
+			w.depUntil = blockUntil(w.depUntil, p)
+		}
+	}
+}
+
+// compact drops the entries that are finished at cycle now (resolved
+// misses and replays, L1 hits whose data has returned) and refreshes
+// depUntil. Time only moves forward, so a dropped hit could never
+// block again.
+func (w *Warp) compact(now int64) {
 	live := w.Pend[:0]
-	for i := range w.Pend {
-		p := w.Pend[i]
-		if !p.Done && p.RetCycle != 0 && p.RetCycle <= now {
-			p.Done = true
+	for _, p := range w.Pend {
+		if !p.Done && (p.RetCycle == 0 || p.RetCycle > now) {
+			live = append(live, p)
 		}
-		if p.Done {
-			continue
-		}
-		if w.FlatIdx >= p.DepFlat {
-			blocked = true
-		}
-		live = append(live, p)
 	}
 	w.Pend = live
-	return blocked
+	w.refresh()
 }
 
 // CanIssue reports whether the warp may issue at cycle now. Vitality is
 // checked by the scheduler, not here.
 func (w *Warp) CanIssue(now int64) bool {
-	if !w.Active || now < w.ReadyAt {
-		return false
-	}
-	if len(w.Pend) == 0 {
-		return true
-	}
-	return !w.depBlocked(now)
+	return w.Active && now >= w.ReadyAt && now >= w.depUntil
 }
 
 // NextWake returns the earliest future cycle at which this warp could
@@ -107,38 +138,32 @@ func (w *Warp) NextWake(now int64) int64 {
 	if wake <= now {
 		wake = now + 1
 	}
-	if len(w.Pend) == 0 {
+	if now >= w.depUntil {
 		return wake
 	}
-	if !w.depBlocked(now) {
-		return wake
+	if w.depUntil == NoDep {
+		return NoDep // miss outstanding: an MSHR event will wake us
 	}
-	// Blocked on a load: earliest known return, or unknown (miss).
+	// Blocked on L1 hits: the earliest one still in flight.
 	earliest := NoDep
-	for i := range w.Pend {
-		p := &w.Pend[i]
-		if p.Done || w.FlatIdx < p.DepFlat {
-			continue
-		}
-		if p.RetCycle == 0 {
-			return NoDep // miss outstanding: an MSHR event will wake us
-		}
-		if p.RetCycle < earliest {
+	for _, p := range w.Pend {
+		if !p.Done && w.FlatIdx >= p.DepFlat && p.RetCycle > now && p.RetCycle < earliest {
 			earliest = p.RetCycle
 		}
 	}
-	if earliest < wake {
-		return wake
-	}
-	return earliest
+	return max(wake, earliest)
 }
 
-// Advance moves the warp to the next instruction; bodyLen is the kernel
-// body length. It reports whether the warp just finished its last
-// instruction.
-func (w *Warp) Advance(bodyLen int) bool {
+// Advance moves the warp past the instruction it just issued at cycle
+// now; bodyLen is the kernel body length. It reports whether the warp
+// just finished its last instruction. Finished scoreboard entries are
+// dropped here, once per issued instruction.
+func (w *Warp) Advance(bodyLen int, now int64) bool {
 	w.BodyIdx++
 	w.FlatIdx++
+	if len(w.Pend) > 0 {
+		w.compact(now)
+	}
 	if int(w.BodyIdx) >= bodyLen {
 		w.BodyIdx = 0
 		w.Iter++
