@@ -4,21 +4,18 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"poise/internal/experiments"
 	"poise/internal/fleet"
-	"poise/internal/gridplan"
-	"poise/internal/trace"
 )
 
 // The fleet service flow for poisebench: the coordinator serves the
-// same plans the file-based -emit-plan/-shard/-merge-shards flow
-// ships, but over HTTP to long-lived workers, with crash recovery
-// (lease expiry), load rebalancing (work stealing) and the merged
-// results landing directly in -cache — so the follow-up
+// same campaigns the file-based -emit-plan/-shard/-merge-shards flow
+// runs as static leases, but over HTTP to long-lived workers, with
+// crash recovery (lease expiry), load rebalancing (work stealing) and
+// the merged results landing directly in -cache — so the follow-up
 // `poisebench -run ...` assembles its figures without re-simulating:
 //
 //	poisebench -run all -cache c -serve :9444      # profile sweeps
@@ -27,7 +24,7 @@ import (
 //
 // With -prune -run all the coordinator drives the whole refinement
 // loop as one campaign, publishing each round's plan as the next
-// generation instead of requiring the emit/shard/merge round-trip.
+// generation instead of requiring the emit/shard/merge round trip.
 
 // benchFleetFlags carries the -serve/-worker flags plus the flags they
 // constrain, so the combination rules live in one testable function.
@@ -98,10 +95,10 @@ func runFleetMode(ctx context.Context, h *experiments.Harness, f benchFleetFlags
 
 // runFleetServe builds the campaign -run selects, serves it to
 // completion, and saves the merged results into the harness's own
-// cache stores — the same directories the file-based merge writes, so
-// figure assembly loads them identically.
+// cache stores — the same directories the static-lease merge writes,
+// so figure assembly loads them identically.
 func runFleetServe(ctx context.Context, h *experiments.Harness, f benchFleetFlags) error {
-	camp, save, err := benchCampaign(h, f)
+	camp, save, err := fleet.HarnessCampaign(h, gridForExp[strings.TrimSpace(strings.ToLower(f.run))])
 	if err != nil {
 		return err
 	}
@@ -119,104 +116,32 @@ func runFleetServe(ctx context.Context, h *experiments.Harness, f benchFleetFlag
 	if err != nil {
 		return err
 	}
-	return save(res)
-}
-
-// benchCampaign maps -run (and -prune) to a fleet campaign plus its
-// save step: the evaluation profile sweep, the staged refinement loop,
-// or one experiment's cell grid.
-func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, func([]fleet.Result) error, error) {
-	run := strings.TrimSpace(strings.ToLower(f.run))
-	if grid, ok := gridForExp[run]; ok {
-		plan, err := h.CellPlan(grid)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(plan.Cells) == 0 {
-			return nil, nil, fmt.Errorf("grid %s enumerated no cells", grid)
-		}
-		plan.Sort()
-		save := func(res []fleet.Result) error {
-			_, g, n, err := fleet.SaveCells(h.CellStore(), res)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: merged %d cells of grid %s into the cache\n", n, g)
-			return nil
-		}
-		return fleet.CellCampaign{Plan: plan}, save, nil
-	}
-	if f.prune {
-		camp, err := fleet.NewRefineCampaign(h.Cfg, evalKernelList(h), h.ProfileTags(),
-			h.EvalSweepOptions(), h.ProfileStore())
-		if err != nil {
-			return nil, nil, err
-		}
-		save := func([]fleet.Result) error {
-			names, err := camp.SaveTo(h.ProfileStore())
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: assembled %d pruned profiles into the cache\n", len(names))
-			return nil
-		}
-		return camp, save, nil
-	}
-	plan, err := h.EvalPlan()
+	msg, err := save(res)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	plan.Sort()
-	save := func(res []fleet.Result) error {
-		names, err := fleet.SaveProfiles(h.ProfileStore(), res)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("fleet: merged %d kernel profiles into the cache\n", len(names))
-		return nil
-	}
-	return fleet.ProfileCampaign{Plan: plan}, save, nil
+	fmt.Println("fleet:", msg)
+	return nil
 }
 
-// runFleetWorker serves leases from the coordinator with both
-// executors registered; the coordinator's plan format picks the
-// pipeline, and the plan's tag and digests verify this process's
-// flags reproduce the coordinator's configuration.
+// runFleetWorker serves leases from the coordinator; the
+// coordinator's plan format picks the pipeline, and the plan's tag and
+// digests verify this process's flags reproduce the coordinator's
+// configuration.
 func runFleetWorker(ctx context.Context, h *experiments.Harness, f benchFleetFlags) error {
 	host, _ := os.Hostname()
 	name := fmt.Sprintf("%s-%d", host, os.Getpid())
 	w := &fleet.Worker{
-		Base: f.worker,
-		Name: name,
-		Executors: map[string]fleet.Executor{
-			gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
-				Cfg: h.Cfg, Kernels: h.EvalKernels(), Opts: h.EvalSweepOptions(),
-			},
-			gridplan.CellPlanFormat: fleet.CellExecutor{H: h},
-		},
-		Logf: stdoutLogf,
+		Base:      f.worker,
+		Name:      name,
+		Executors: fleet.HarnessExecutors(h),
+		Logf:      stdoutLogf,
 	}
 	if err := w.Run(ctx); err != nil {
 		return err
 	}
 	fmt.Printf("worker %s: campaign complete\n", name)
 	return nil
-}
-
-// evalKernelList flattens the evaluation kernel index in name order —
-// campaigns iterate it, so the order must be deterministic.
-func evalKernelList(h *experiments.Harness) []*trace.Kernel {
-	idx := h.EvalKernels()
-	names := make([]string, 0, len(idx))
-	for name := range idx {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	kernels := make([]*trace.Kernel, len(names))
-	for i, name := range names {
-		kernels[i] = idx[name]
-	}
-	return kernels
 }
 
 // stdoutLogf adapts fleet's Logf convention (printf format, no

@@ -20,9 +20,11 @@
 // figure/table experiments run over real traces unchanged.
 //
 // Sharded campaigns (-emit-plan / -shard i/N / -merge-shards) cover
-// both plan kinds. With -run all they split the profile sweeps (the
-// PR-3 flow); with -run naming one grid-backed experiment they split
-// that experiment's workload x scheme cell grid:
+// both plan kinds. With -run all they split the profile sweeps; with
+// -run naming one grid-backed experiment they split that experiment's
+// workload x scheme cell grid. Each shard is a static lease of the
+// fleet campaign -serve would run, written into -cache under a name
+// derived from the plan:
 //
 //	poisebench -run fig7 -cache c -emit-plan cells.jsonl   # document/ship
 //	poisebench -run fig7 -cache c -shard 0/2               # worker 0
@@ -64,6 +66,7 @@ import (
 	"time"
 
 	"poise/internal/experiments"
+	"poise/internal/fleet"
 	"poise/internal/gridplan"
 	"poise/internal/profiling"
 	"poise/internal/sim"
@@ -110,12 +113,13 @@ func main() {
 		// grid-backed experiment (fig7, fig11, fig12, fig13, fig15,
 		// fig16, tableiii) they drive that experiment's workload x
 		// scheme cell grid instead: -emit-plan documents/ships the plan;
-		// -shard i/N runs this process's slice and persists partials in
-		// -cache; -merge-shards folds the partials into the cache, after
-		// which normal runs load them instead of simulating.
+		// -shard i/N runs this process's static lease and writes its
+		// lease file into -cache; -merge-shards merges the plan's lease
+		// files into the cache, after which normal runs load them
+		// instead of simulating.
 		emitPlan = flag.String("emit-plan", "", "write the profile sweep plan (-run all) or one experiment's cell grid plan (-run <exp>) as JSONL to this file and exit")
-		shardStr = flag.String("shard", "", "run shard i/N of the profile sweeps or of -run's experiment grid, persist partials in -cache, and exit (format \"i/N\")")
-		mergeSh  = flag.Bool("merge-shards", false, "merge shard partials in -cache into full cached profiles (-run all) or merged experiment cells (-run <exp>) and exit")
+		shardStr = flag.String("shard", "", "run shard i/N of the profile sweeps or of -run's experiment grid as a static lease, write its lease file into -cache, and exit (format \"i/N\")")
+		mergeSh  = flag.Bool("merge-shards", false, "merge the plan's lease files in -cache into full cached profiles (-run all) or merged experiment cells (-run <exp>) and exit")
 
 		// Fleet coordinator/worker service (package fleet): the same
 		// campaigns over HTTP, with crash recovery and work stealing.
@@ -174,14 +178,6 @@ func main() {
 		ExtraWorkloads: extra,
 		Prune:          *prune,
 		SnapshotDir:    *snapDir,
-	}
-	if *shardStr != "" {
-		i, n, err := gridplan.ParseShard(*shardStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "poisebench:", err)
-			os.Exit(1)
-		}
-		opt.ShardIndex, opt.ShardCount = i, n
 	}
 	h := experiments.NewHarness(opt)
 
@@ -519,7 +515,12 @@ func gridBackedNames() string {
 // runShardMode executes the sharded-campaign subcommands. Exactly one
 // of the three is active per invocation (emit, then shard workers,
 // then merge — each typically a separate process); -run selects the
-// profile-sweep plan ("all") or one experiment's cell grid.
+// profile-sweep campaign ("all", staged refinement rounds under
+// -prune) or one experiment's cell grid. A shard is a static lease of
+// the fleet campaign -serve would run: its results land in -cache as a
+// lease file named after the plan, and the merge feeds every lease of
+// the current plan through the coordinator's completion path before
+// saving into the cache.
 func runShardMode(h *experiments.Harness, run, emitPlan, shard string, merge bool) error {
 	run = strings.TrimSpace(strings.ToLower(run))
 	grid := ""
@@ -533,108 +534,65 @@ func runShardMode(h *experiments.Harness, run, emitPlan, shard string, merge boo
 				run, gridBackedNames())
 		}
 	}
-	switch {
-	case emitPlan != "":
-		if grid != "" {
-			plan, err := h.CellPlan(grid)
-			if err != nil {
-				return err
-			}
-			if len(plan.Cells) == 0 {
-				return fmt.Errorf("grid %s enumerated no cells", grid)
-			}
-			plan.Sort()
-			if err := gridplan.WriteCellPlanFile(emitPlan, plan); err != nil {
-				return err
-			}
-			fmt.Printf("cell plan %s: %d cells of grid %s (tag %s)\n",
-				emitPlan, len(plan.Cells), grid, plan.Cells[0].Tag)
-			return nil
-		}
-		if h.Opt.Prune {
-			plan, done, err := h.RefinePlan()
-			if err != nil {
-				return err
-			}
-			if done {
-				fmt.Println("refinement complete: merged profiles are in the cache")
-				return nil
-			}
-			plan.Sort()
-			if err := gridplan.WritePlanFile(emitPlan, plan); err != nil {
-				return err
-			}
-			fmt.Printf("refine round plan %s: %d tasks over %d kernels\n",
-				emitPlan, len(plan.Tasks), len(plan.Kernels()))
-			return nil
-		}
-		plan, err := h.EvalPlan()
+	if h.Opt.CacheDir == "" && (emitPlan == "" || h.Opt.Prune && grid == "") {
+		return fmt.Errorf("-shard, -merge-shards and -prune -emit-plan need -cache (lease files and refinement rounds live there)")
+	}
+	camp, save, err := fleet.HarnessCampaign(h, grid)
+	if err != nil {
+		return err
+	}
+	if emitPlan != "" {
+		n, done, err := fleet.EmitPlan(camp, emitPlan)
 		if err != nil {
 			return err
 		}
-		plan.Sort()
-		if err := gridplan.WritePlanFile(emitPlan, plan); err != nil {
-			return err
+		if done {
+			fmt.Println("refinement complete: merged profiles are in the cache")
+		} else {
+			fmt.Printf("plan %s: %d tasks\n", emitPlan, n)
 		}
-		fmt.Printf("plan %s: %d tasks over %d kernels\n", emitPlan, len(plan.Tasks), len(plan.Kernels()))
-	case shard != "":
-		if grid != "" {
-			f, err := h.RunCellShard(grid)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("shard %s of grid %s -> %s\n", shard, grid, f)
-			return nil
-		}
-		if h.Opt.Prune {
-			files, err := h.RunRefineShard()
-			if err != nil {
-				return err
-			}
-			if len(files) == 0 {
-				fmt.Println("refinement complete: nothing to simulate")
-				return nil
-			}
-			for _, f := range files {
-				fmt.Println("wrote", f)
-			}
-			fmt.Printf("refine shard %s: %d partial files\n", shard, len(files))
-			return nil
-		}
-		files, err := h.RunShard()
+		return nil
+	}
+	c, err := fleet.NewCoordinator(camp, fleet.Options{})
+	if err != nil {
+		return err
+	}
+	if c.Plan() == "" {
+		fmt.Println("refinement complete: merged profiles are in the cache")
+		return nil
+	}
+	if shard != "" {
+		i, n, err := gridplan.ParseShard(shard)
 		if err != nil {
 			return err
 		}
-		for _, f := range files {
-			fmt.Println("wrote", f)
-		}
-		fmt.Printf("shard %s: %d partial files\n", shard, len(files))
-	case merge:
-		if grid != "" {
-			n, err := h.MergeCellPartials(grid)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("merged %d cells of grid %s into the cache\n", n, grid)
-			return nil
-		}
-		if h.Opt.Prune {
-			done, err := h.MergeRefinePartials()
-			if err != nil {
-				return err
-			}
-			if done {
-				fmt.Println("refinement complete: merged profiles into the cache")
-			} else {
-				fmt.Println("round merged; refinement continues (emit/shard/merge again)")
-			}
-			return nil
-		}
-		names, err := h.MergeShardPartials()
+		path := fleet.LeaseFile(h.Opt.CacheDir, c.Plan(), i, n)
+		ran, err := c.RunLease(fleet.HarnessExecutors(h), i, n, path)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("merged %d kernel profiles into the cache: %s\n", len(names), strings.Join(names, ", "))
+		fmt.Printf("shard %s: %d tasks -> %s\n", shard, ran, path)
+		return nil
+	}
+	files, err := fleet.LeaseFiles(h.Opt.CacheDir, c.Plan())
+	if err != nil {
+		return err
+	}
+	res, done, err := c.MergeLeases(files)
+	if err != nil {
+		return err
+	}
+	if !done {
+		fmt.Println("round merged; refinement continues (emit/shard/merge again)")
+		return nil
+	}
+	msg, err := save(res)
+	if err != nil {
+		return err
+	}
+	fmt.Println(msg)
+	if h.Opt.Prune && grid == "" {
+		fmt.Println("refinement complete: merged profiles into the cache")
 	}
 	return nil
 }

@@ -3,13 +3,17 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"poise/internal/experiments"
+	"poise/internal/workloads"
 )
 
-// TestRunShardModeRejectsBadRunSelections: the file-based shard flow
+// TestShardModeRejectsBadRunSelections: the file-based shard flow
 // must reject experiment lists and non-grid-backed experiments before
 // touching the harness (the nil harness below proves nothing else
-// runs).
-func TestRunShardModeRejectsBadRunSelections(t *testing.T) {
+// runs), and lease or refinement work without -cache before building
+// a campaign.
+func TestShardModeRejectsBadRunSelections(t *testing.T) {
 	cases := []struct {
 		name    string
 		run     string
@@ -30,4 +34,15 @@ func TestRunShardModeRejectsBadRunSelections(t *testing.T) {
 			}
 		})
 	}
+	t.Run("no cache", func(t *testing.T) {
+		h := experiments.NewHarness(experiments.Options{SMs: 2, Size: workloads.Small})
+		for _, mode := range []struct {
+			shard string
+			merge bool
+		}{{"0/2", false}, {"", true}} {
+			if err := runShardMode(h, "fig16", "", mode.shard, mode.merge); err == nil || !strings.Contains(err.Error(), "need -cache") {
+				t.Fatalf("shard %q merge %v without -cache = %v, want a -cache error", mode.shard, mode.merge, err)
+			}
+		}
+	})
 }

@@ -13,7 +13,8 @@ import (
 	"poise/internal/sim"
 )
 
-// The fleet flow, service-based where the -shard flow is file-based:
+// The served fleet flow; the -shard flow (sweepmode.go) runs the same
+// campaigns as static leases written to files:
 // one coordinator process serves lease batches of a plan over HTTP and
 // merges the streamed results; long-lived workers pull leases until
 // the campaign completes. Crashed workers are recovered by lease
@@ -157,88 +158,106 @@ func runFleetServe(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag
 }
 
 // serveCampaign builds the coordinator's campaign and the matching
-// save step: a profile or cell plan file (sniffed by header, like
-// -shard), or the staged refinement campaign under -prune.
+// save step: a -plan file, or the staged refinement campaign under
+// -prune.
 func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) error, error) {
-	if f.prune {
-		kernels := sim.DistinctKernels(a.selected)
-		tags := make(map[string]string, len(kernels))
-		for _, k := range kernels {
-			tags[k.Name] = tag
-		}
-		// -cache persists completed rounds so an interrupted campaign
-		// resumes instead of re-simulating (and the file-based round
-		// flow can pick up where the service left off, or vice versa).
-		camp, err := fleet.NewRefineCampaign(a.cfg, kernels, tags, opts, profile.Store{Dir: a.cacheDir})
-		if err != nil {
-			return nil, nil, err
-		}
-		save := func([]fleet.Result) error {
-			names, err := camp.SaveTo(profile.Store{Dir: f.profileDir})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: assembled %d pruned profiles -> %s\n", len(names), f.profileDir)
-			return nil
-		}
-		return camp, save, nil
+	if !f.prune {
+		return planCampaign(f.planPath, f.profileDir)
 	}
-	switch format := planFormat(f.planPath); format {
+	camp, err := refineCampaign(a, opts, tag)
+	if err != nil {
+		return nil, nil, err
+	}
+	save := func([]fleet.Result) error {
+		names, err := camp.SaveTo(profile.Store{Dir: f.profileDir})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("fleet: assembled %d pruned profiles -> %s\n", len(names), f.profileDir)
+		return nil
+	}
+	return camp, save, nil
+}
+
+// refineCampaign builds the staged refinement over the selected
+// workloads' kernels. -cache persists completed rounds, so an
+// interrupted campaign resumes instead of re-simulating, and the
+// served and static-lease flows can each pick up where the other left
+// off.
+func refineCampaign(a sweepModeArgs, opts profile.SweepOptions, tag string) (*fleet.RefineCampaign, error) {
+	kernels := sim.DistinctKernels(a.selected)
+	tags := make(map[string]string, len(kernels))
+	for _, k := range kernels {
+		tags[k.Name] = tag
+	}
+	return fleet.NewRefineCampaign(a.cfg, kernels, tags, opts, profile.Store{Dir: a.cacheDir})
+}
+
+// planCampaign builds the campaign of a -plan file — a profile sweep
+// plan or an experiment cell plan, sniffed by header — and the save
+// step that writes its merged results into out.
+func planCampaign(path, out string) (fleet.Campaign, func([]fleet.Result) error, error) {
+	switch format := planFormat(path); format {
 	case gridplan.ProfilePlanFormat:
-		plan, err := gridplan.ReadPlanFile(f.planPath)
+		plan, err := gridplan.ReadPlanFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
 		save := func(res []fleet.Result) error {
-			names, err := fleet.SaveProfiles(profile.Store{Dir: f.profileDir}, res)
+			names, err := fleet.SaveProfiles(profile.Store{Dir: out}, res)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("fleet: saved %d profiles -> %s\n", len(names), f.profileDir)
+			fmt.Printf("saved %d profiles -> %s\n", len(names), out)
 			return nil
 		}
 		return fleet.ProfileCampaign{Plan: plan}, save, nil
 	case gridplan.CellPlanFormat:
-		plan, err := gridplan.ReadCellPlanFile(f.planPath)
+		plan, err := gridplan.ReadCellPlanFile(path)
 		if err != nil {
 			return nil, nil, err
 		}
 		if len(plan.Cells) == 0 {
-			return nil, nil, fmt.Errorf("cell plan %s is empty", f.planPath)
+			return nil, nil, fmt.Errorf("cell plan %s is empty", path)
 		}
 		save := func(res []fleet.Result) error {
-			_, grid, n, err := fleet.SaveCells(results.Store{Dir: f.profileDir}, res)
+			_, grid, n, err := fleet.SaveCells(results.Store{Dir: out}, res)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("fleet: saved %d cells of grid %s -> %s\n", n, grid, f.profileDir)
+			fmt.Printf("saved %d cells of grid %s -> %s\n", n, grid, out)
 			return nil
 		}
 		return fleet.CellCampaign{Plan: plan}, save, nil
 	default:
-		return nil, nil, fmt.Errorf("plan %s: unknown format %q", f.planPath, format)
+		return nil, nil, fmt.Errorf("plan %s: unknown format %q", path, format)
+	}
+}
+
+// executors registers both executors from this process's flags, so
+// one worker serves profile sweeps, refinement rounds and experiment
+// cell grids alike — the plan's format picks the pipeline, and the
+// plan's digests and tags verify that these flags reproduce the
+// configuration it was emitted under before anything simulates.
+func executors(a sweepModeArgs, opts profile.SweepOptions) map[string]fleet.Executor {
+	return map[string]fleet.Executor{
+		gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
+			Cfg: a.cfg, Kernels: catalogueKernels(a.cat), Opts: opts,
+		},
+		gridplan.CellPlanFormat: fleet.CellExecutor{H: a.harness()},
 	}
 }
 
 // runFleetWorker runs one long-lived worker against the coordinator at
-// -worker URL. Both executors register, so one worker serves profile
-// sweeps, refinement rounds and experiment cell grids alike — the
-// coordinator's plan format picks the pipeline, and the plan's digests
-// verify this process's flags reproduce the coordinator's
-// configuration before anything simulates.
+// -worker URL.
 func runFleetWorker(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions) {
 	host, _ := os.Hostname()
 	name := fmt.Sprintf("%s-%d", host, os.Getpid())
 	w := &fleet.Worker{
-		Base: f.worker,
-		Name: name,
-		Executors: map[string]fleet.Executor{
-			gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
-				Cfg: a.cfg, Kernels: catalogueKernels(a.cat), Opts: opts,
-			},
-			gridplan.CellPlanFormat: fleet.CellExecutor{H: a.harness()},
-		},
-		Logf: stdoutLogf,
+		Base:      f.worker,
+		Name:      name,
+		Executors: executors(a, opts),
+		Logf:      stdoutLogf,
 	}
 	// -die-after and -task-delay are the CI chaos hooks: the fleet
 	// round-trip kills one worker mid-lease and slows another until

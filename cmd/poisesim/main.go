@@ -39,8 +39,12 @@
 //	poisesim -plan plan.jsonl -merge-shards s0.jsonl,s1.jsonl -profile-out profs
 //	poisesim -workload ii -sweep -profile-out reference   # unsharded reference
 //
-// Merging any shard split is byte-identical to the in-process sweep
-// (-sweep), which CI asserts with a directory diff.
+// Each -shard is a static lease of the fleet campaign -serve would run
+// (package fleet): its results are written in the coordinator's
+// completion format, and -merge-shards feeds them through the
+// coordinator's completion path, so a missing lease or one of another
+// plan fails the merge. Merging any split is byte-identical to the
+// in-process sweep (-sweep), which CI asserts with a directory diff.
 //
 // The same flags also execute experiment-grid cell plans (workload x
 // scheme grids emitted by `poisebench -run fig7 -emit-plan ...`): the
@@ -134,9 +138,9 @@ func main() {
 		// shards of it in separate processes, merge the partials.
 		emitPlan = flag.String("emit-plan", "", "write the selected workloads' sweep plan as JSONL to this file and exit")
 		planPth  = flag.String("plan", "", "sweep plan file (from -emit-plan) for -shard / -merge-shards")
-		shardStr = flag.String("shard", "", "run shard i/N of -plan and write measurements to -shard-out (format \"i/N\")")
-		shardOut = flag.String("shard-out", "", "measurement JSONL output file for -shard")
-		mergeStr = flag.String("merge-shards", "", "comma-separated shard measurement files to merge into profiles under -profile-out (needs -plan)")
+		shardStr = flag.String("shard", "", "run static lease i/N of -plan and write its results to -shard-out (format \"i/N\")")
+		shardOut = flag.String("shard-out", "", "lease file written by -shard")
+		mergeStr = flag.String("merge-shards", "", "comma-separated lease files from -shard to merge into -profile-out (needs -plan; with -prune, into the -cache rounds)")
 		profDir  = flag.String("profile-out", "", "profile cache directory -merge-shards and -sweep write to")
 		sweepRun = flag.Bool("sweep", false, "run an in-process sweep of the selected workloads and save profiles under -profile-out (the unsharded reference)")
 		pruneRun = flag.Bool("prune", false, "adaptive coarse-to-fine sweep pruning: with -sweep run pruned sweeps in-process; with -emit-plan/-merge-shards drive the staged per-round plan flow (rounds cached in -cache)")

@@ -6,9 +6,9 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/experiments"
+	"poise/internal/fleet"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
-	"poise/internal/results"
 	"poise/internal/sim"
 	"poise/internal/snap"
 	"poise/internal/trace"
@@ -17,7 +17,12 @@ import (
 
 // The sharded campaign flow, file-based so each step can run in a
 // different process (or on a different machine — ship the plan out,
-// ship the shard partials back). Profile sweep plans:
+// ship the lease files back). A file shard is a static lease of the
+// fleet (package fleet): worker i of N runs slice i/N of the plan
+// through the same executor a -worker process uses and writes the
+// results in the coordinator's completion format; -merge-shards feeds
+// the files through the coordinator's completion path and saves the
+// result with the same code -serve uses. Profile sweep plans:
 //
 //	poisesim -workload ii -emit-plan plan.jsonl            # coordinator
 //	poisesim -plan plan.jsonl -shard 0/2 -shard-out s0.jsonl   # worker 0
@@ -169,10 +174,65 @@ func runSweepMode(a sweepModeArgs) {
 		printBestTable(a.profileDir)
 
 	case a.prune && a.emitPlan != "":
-		emitRefineRound(a, tag, opts)
+		// The next round is derived from the rounds folded into -cache
+		// and written as an ordinary plan, which -shard workers lease
+		// from unchanged. Once every kernel has converged the final
+		// profiles are assembled into -profile-out (when given) instead;
+		// loop drivers grep for "refinement complete".
+		camp, err := refineCampaign(a, opts, tag)
+		if err != nil {
+			fatal(err)
+		}
+		n, done, err := fleet.EmitPlan(camp, a.emitPlan)
+		if err != nil {
+			fatal(err)
+		}
+		if !done {
+			fmt.Printf("refine round plan %s: %d tasks (tag %s)\n", a.emitPlan, n, tag)
+			return
+		}
+		if a.profileDir != "" {
+			names, err := camp.SaveTo(profile.Store{Dir: a.profileDir})
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Printf("assembled %d pruned profiles -> %s\n", len(names), a.profileDir)
+		}
+		fmt.Println("refinement complete")
 
 	case a.prune && a.merge != "":
-		mergeRefineRound(a)
+		plan, err := gridplan.ReadPlanFile(a.planPath)
+		if err != nil {
+			fatal(err)
+		}
+		// The round's kernels and tags come from its plan, so the merge
+		// needs no -workload; the grid flags must match the emit's.
+		kernels := catalogueKernels(a.cat)
+		var ks []*trace.Kernel
+		tags := map[string]string{}
+		for _, g := range plan.Kernels() {
+			if kernels[g.Kernel] == nil {
+				fatal(fmt.Errorf("plan %s: kernel %s is not in the catalogue", a.planPath, g.Kernel))
+			}
+			ks = append(ks, kernels[g.Kernel])
+			tags[g.Kernel] = g.Tag
+		}
+		camp, err := fleet.NewRefineCampaign(a.cfg, ks, tags, opts, profile.Store{Dir: a.cacheDir})
+		if err != nil {
+			fatal(err)
+		}
+		// A retried merge of a round already folded into -cache must not
+		// append it again; leases of any other stale round are refused
+		// by the merge itself.
+		if camp.Merged(plan) {
+			fmt.Printf("round %s already merged (%d points), skipping\n", a.planPath, len(plan.Tasks))
+			return
+		}
+		_, done := mergeShards(camp, a.merge)
+		fmt.Printf("merged refinement round %s -> %s\n", a.planPath, a.cacheDir)
+		if done {
+			fmt.Println("refinement converged; -emit-plan assembles the profiles")
+		}
 
 	case a.prune && a.sweep:
 		if a.profileDir == "" {
@@ -199,68 +259,39 @@ func runSweepMode(a sweepModeArgs) {
 			kp := profile.BuildPlan(tag, a.cfg, k, opts)
 			plan.Tasks = append(plan.Tasks, kp.Tasks...)
 		}
-		plan.Sort()
-		if err := plan.Validate(); err != nil {
+		n, _, err := fleet.EmitPlan(fleet.ProfileCampaign{Plan: plan}, a.emitPlan)
+		if err != nil {
 			fatal(err)
 		}
-		if err := gridplan.WritePlanFile(a.emitPlan, plan); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("plan %s: %d tasks over %d kernels (tag %s)\n",
-			a.emitPlan, len(plan.Tasks), len(kernels), tag)
+		fmt.Printf("plan %s: %d tasks over %d kernels (tag %s)\n", a.emitPlan, n, len(kernels), tag)
 
 	case a.shard != "":
 		index, count, err := gridplan.ParseShard(a.shard)
 		if err != nil {
 			fatal(err)
 		}
-		if a.planPath == "" || a.shardOut == "" {
-			fatal(fmt.Errorf("-shard needs -plan and -shard-out"))
-		}
-		if planFormat(a.planPath) == gridplan.CellPlanFormat {
-			runCellShard(a, index, count)
-			return
-		}
-		plan, err := gridplan.ReadPlanFile(a.planPath)
+		camp, _, err := planCampaign(a.planPath, "")
 		if err != nil {
 			fatal(err)
 		}
-		sp, err := plan.Shard(index, count)
+		c, err := fleet.NewCoordinator(camp, fleet.Options{})
 		if err != nil {
 			fatal(err)
 		}
-		ms, err := profile.RunTasks(a.cfg, catalogueKernels(a.cat), sp.Tasks, opts)
+		n, err := c.RunLease(executors(a, opts), index, count, a.shardOut)
 		if err != nil {
 			fatal(err)
 		}
-		if err := gridplan.WriteMeasurementsFile(a.shardOut, index, count, ms); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("shard %d/%d: %d of %d tasks -> %s\n",
-			index, count, len(ms), len(plan.Tasks), a.shardOut)
+		fmt.Printf("shard %d/%d of plan %s: %d tasks -> %s\n", index, count, c.Plan(), n, a.shardOut)
 
 	case a.merge != "":
-		if a.planPath == "" || a.profileDir == "" {
-			fatal(fmt.Errorf("-merge-shards needs -plan and -profile-out"))
-		}
-		files, err := gridplan.SplitFiles(a.merge)
+		camp, save, err := planCampaign(a.planPath, a.profileDir)
 		if err != nil {
-			fatal(fmt.Errorf("-merge-shards: %w", err))
+			fatal(err)
 		}
-		if planFormat(a.planPath) == gridplan.CellPlanFormat {
-			mergeCellShards(a, files)
-			return
-		}
-		st := profile.Store{Dir: a.profileDir}
-		for _, g := range verifiedShardGroups(a.planPath, files) {
-			pr, err := profile.MergeShards(g.Kernel, g.ms)
-			if err != nil {
-				fatal(err)
-			}
-			if err := st.Save(g.Tag, pr); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("merged %s: %d points -> %s\n", g.Kernel, len(pr.Points), a.profileDir)
+		res, _ := mergeShards(camp, a.merge)
+		if err := save(res); err != nil {
+			fatal(err)
 		}
 
 	case a.sweep:
@@ -292,232 +323,25 @@ func planFormat(path string) string {
 	return format
 }
 
-// runCellShard executes one shard of an experiment-grid cell plan
-// (emitted by poisebench -run <exp> -emit-plan) and writes the cells
-// to -shard-out. The harness is rebuilt from this process's flags; the
-// plan's configuration tag and workload digests must match it, so a
-// worker launched with different flags than the coordinator fails
-// before simulating anything.
-func runCellShard(a sweepModeArgs, index, count int) {
-	plan, err := gridplan.ReadCellPlanFile(a.planPath)
-	if err != nil {
-		fatal(err)
-	}
-	if len(plan.Cells) == 0 {
-		fatal(fmt.Errorf("cell plan %s is empty", a.planPath))
-	}
-	sp, err := plan.Shard(index, count)
-	if err != nil {
-		fatal(err)
-	}
-	grid := plan.Cells[0].Grid
-	h := a.harness()
-	// Validate the whole plan, not just this shard: a worker launched
-	// with mismatched flags must fail fast even if its own slice is
-	// empty or misses the drifted workload.
-	if err := h.ValidateCellPlan(grid, plan); err != nil {
-		fatal(err)
-	}
-	cells, err := h.RunCellTasks(grid, sp.Cells)
-	if err != nil {
-		fatal(err)
-	}
-	if err := results.WriteShardFile(a.shardOut, index, count, cells); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cell shard %d/%d: %d of %d cells of grid %s -> %s\n",
-		index, count, len(cells), len(plan.Cells), grid, a.shardOut)
-}
-
-// mergeCellShards merges cell shard files against their plan and
-// writes the merged entry into the -profile-out results store — the
-// directory poisebench then loads as its -cache, so figures assemble
-// from the sharded campaign without re-simulating.
-func mergeCellShards(a sweepModeArgs, files []string) {
-	plan, err := gridplan.ReadCellPlanFile(a.planPath)
-	if err != nil {
-		fatal(err)
-	}
-	if len(plan.Cells) == 0 {
-		fatal(fmt.Errorf("cell plan %s is empty", a.planPath))
-	}
-	var shards [][]results.CellResult
-	for _, f := range files {
-		cells, err := results.ReadShardFile(f)
-		if err != nil {
-			fatal(err)
-		}
-		shards = append(shards, cells)
-	}
-	merged, err := results.Merge(shards...)
-	if err != nil {
-		fatal(err)
-	}
-	if err := results.Verify(plan, merged); err != nil {
-		fatal(err)
-	}
-	tag, grid := plan.Cells[0].Tag, plan.Cells[0].Grid
-	st := results.Store{Dir: a.profileDir}
-	if err := st.Save(tag, grid, merged); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("merged %d cells of grid %s -> %s\n", len(merged), grid, a.profileDir)
-}
-
-// emitRefineRound computes the next pruned-sweep refinement round for
-// the selected workloads from the round partials in -cache and writes
-// it as an ordinary plan file, which the existing -shard workers
-// execute unchanged. When every kernel's refinement has converged it
-// instead assembles the final profiles into -profile-out (when given)
-// and reports completion — the loop driver greps for that.
-func emitRefineRound(a sweepModeArgs, tag string, opts profile.SweepOptions) {
-	if a.cacheDir == "" {
-		fatal(fmt.Errorf("-prune -emit-plan needs -cache for round partials"))
-	}
-	st := profile.Store{Dir: a.cacheDir}
-	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
-	kernels := sim.DistinctKernels(a.selected)
-	type state struct {
-		kernel string
-		prior  []gridplan.Measurement
-	}
-	var states []state
-	for _, k := range kernels {
-		rounds := st.LoadRounds(tag, k.Name)
-		prior, err := gridplan.Merge(rounds...)
-		if err != nil {
-			fatal(fmt.Errorf("round partials for %s: %w", k.Name, err))
-		}
-		kp, done, err := profile.BuildRefinePlan(tag, a.cfg, k, opts, len(rounds), prior)
-		if err != nil {
-			fatal(err)
-		}
-		if !done {
-			plan.Tasks = append(plan.Tasks, kp.Tasks...)
-		}
-		states = append(states, state{kernel: k.Name, prior: prior})
-	}
-	if len(plan.Tasks) > 0 {
-		plan.Sort()
-		if err := plan.Validate(); err != nil {
-			fatal(err)
-		}
-		if err := gridplan.WritePlanFile(a.emitPlan, plan); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("refine round plan %s: %d tasks over %d kernels (tag %s)\n",
-			a.emitPlan, len(plan.Tasks), len(kernels), tag)
-		return
-	}
-	if a.profileDir != "" {
-		out := profile.Store{Dir: a.profileDir}
-		for _, s := range states {
-			pr, err := profile.MergeShards(s.kernel, s.prior)
-			if err != nil {
-				fatal(err)
-			}
-			if err := out.Save(tag, pr); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("assembled %s: %d pruned points -> %s\n", s.kernel, len(pr.Points), a.profileDir)
-		}
-	}
-	fmt.Println("refinement complete")
-}
-
-// mergeRefineRound folds shard measurement files of one refinement
-// round back into per-kernel round partials in -cache, verifying full
-// coverage against the round's plan, so the next emitRefineRound can
-// derive the following round.
-func mergeRefineRound(a sweepModeArgs) {
-	if a.planPath == "" || a.cacheDir == "" {
-		fatal(fmt.Errorf("-prune -merge-shards needs -plan and -cache"))
-	}
-	files, err := gridplan.SplitFiles(a.merge)
+// mergeShards merges the -merge-shards lease files into the campaign's
+// current generation: a missing lease, a lease of another plan or
+// round, or a worker whose results are not tasks of the plan fails
+// loudly. It returns the generation's results and whether the
+// campaign is complete.
+func mergeShards(camp fleet.Campaign, list string) ([]fleet.Result, bool) {
+	files, err := gridplan.SplitFiles(list)
 	if err != nil {
 		fatal(fmt.Errorf("-merge-shards: %w", err))
 	}
-	st := profile.Store{Dir: a.cacheDir}
-	for _, g := range verifiedShardGroups(a.planPath, files) {
-		rounds := st.LoadRounds(g.Tag, g.Kernel)
-		prior, err := gridplan.Merge(rounds...)
-		if err != nil {
-			fatal(fmt.Errorf("round partials for %s: %w", g.Kernel, err))
-		}
-		// Idempotence: a retried merge of an already-folded round must
-		// not append the same measurements as a new round (that would
-		// wedge every later emit on duplicate keys). Points partially
-		// overlapping the cached rounds are a genuinely inconsistent
-		// plan/cache mix and fail loudly instead.
-		have := map[string]bool{}
-		for _, m := range prior {
-			have[m.Key()] = true
-		}
-		dup := 0
-		for _, m := range g.ms {
-			if have[m.Key()] {
-				dup++
-			}
-		}
-		switch {
-		case dup == len(g.ms):
-			fmt.Printf("round for %s already merged (%d points), skipping\n", g.Kernel, len(g.ms))
-			continue
-		case dup > 0:
-			fatal(fmt.Errorf("%s: %d of %d points already in cached rounds — shard files do not match the current round (stale -plan?)",
-				g.Kernel, dup, len(g.ms)))
-		}
-		round := len(rounds)
-		if err := st.SaveRound(g.Tag, g.Kernel, round, g.ms); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("merged %s round %d: %d points -> %s\n", g.Kernel, round, len(g.ms), a.cacheDir)
-	}
-}
-
-// shardGroup is one (tag, kernel)'s verified slice of a merged shard
-// set.
-type shardGroup struct {
-	Tag, Kernel string
-	ms          []gridplan.Measurement
-}
-
-// verifiedShardGroups reads a profile plan and its shard measurement
-// files, merges the shards, verifies exact plan coverage (a lost or
-// duplicated shard fails loudly), and returns the measurements
-// grouped per (tag, kernel) in plan order — the shared front half of
-// both the exhaustive -merge-shards path and the pruned round merge.
-func verifiedShardGroups(planPath string, files []string) []shardGroup {
-	plan, err := gridplan.ReadPlanFile(planPath)
+	c, err := fleet.NewCoordinator(camp, fleet.Options{})
 	if err != nil {
 		fatal(err)
 	}
-	var shards [][]gridplan.Measurement
-	for _, f := range files {
-		ms, err := gridplan.ReadMeasurementsFile(f)
-		if err != nil {
-			fatal(err)
-		}
-		shards = append(shards, ms)
-	}
-	merged, err := gridplan.Merge(shards...)
+	res, done, err := c.MergeLeases(files)
 	if err != nil {
 		fatal(err)
 	}
-	if err := plan.Verify(merged); err != nil {
-		fatal(err)
-	}
-	var groups []shardGroup
-	for _, g := range plan.Kernels() {
-		var ms []gridplan.Measurement
-		for _, m := range merged {
-			if m.Tag == g.Tag && m.Kernel == g.Kernel {
-				ms = append(ms, m)
-			}
-		}
-		groups = append(groups, shardGroup{Tag: g.Tag, Kernel: g.Kernel, ms: ms})
-	}
-	return groups
+	return res, done
 }
 
 // printBestTable derives the static policy table — the Static-Best,

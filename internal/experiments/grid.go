@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,9 +27,10 @@ import (
 //	CellPlan    -> the serialisable grid (ship to workers)
 //	RunCellTasks-> execute cells on per-configuration GPU pools
 //	GridCells   -> in-process run, or the merged cached cells
-//	RunCellShard / MergeCellPartials -> the multi-process split
 //
-// Exactly like profile sweeps, merging any shard decomposition is
+// Across processes, package fleet runs the plan as served or static
+// leases and saves the merged cells where GridCells loads them.
+// Exactly like profile sweeps, merging any split is
 // reflect.DeepEqual-identical to the in-process grid, so fanning a
 // figure out across processes (or machines) can never change it. The
 // figure methods (Performance, Fig11, ...) are pure assembly over the
@@ -453,17 +452,6 @@ func (h *Harness) CellPlan(grid string) (*gridplan.CellPlan, error) {
 	return plan, nil
 }
 
-// EmitCellPlan writes the grid's cell plan as JSONL in canonical key
-// order — the artifact a coordinator ships to shard workers.
-func (h *Harness) EmitCellPlan(w io.Writer, grid string) error {
-	plan, err := h.CellPlan(grid)
-	if err != nil {
-		return err
-	}
-	plan.Sort()
-	return gridplan.WriteCellPlan(w, plan)
-}
-
 // RunCellTasks executes experiment cells — typically one shard of a
 // grid's plan — and returns their results in task order. Before
 // anything simulates, every task is validated against this process's
@@ -548,10 +536,10 @@ func (h *Harness) validateCells(grid string, d gridDef, tasks []gridplan.CellTas
 
 // ValidateCellPlan checks a whole shipped plan against this process's
 // configuration — tag agreement, workload digests, scheme ordinals —
-// without running anything. Shard workers call it on the full plan
-// before slicing, so a worker launched with mismatched flags fails
-// fast even when its own shard happens to be empty or to miss the
-// drifted workload.
+// without running anything. Lease workers (fleet.CellExecutor) call it
+// on the full plan before running their slice, so a worker launched
+// with mismatched flags fails fast even when its own slice happens to
+// be empty or to miss the drifted workload.
 func (h *Harness) ValidateCellPlan(grid string, plan *gridplan.CellPlan) error {
 	d, ok := gridDefs[grid]
 	if !ok {
@@ -577,7 +565,14 @@ func (h *Harness) GridCells(grid string) ([]results.CellResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tag := planTag(h, grid, plan)
+		// CellPlan stamps every cell with the configuration tag; reading
+		// it back avoids re-hashing the workload axis.
+		var tag string
+		if len(plan.Cells) > 0 {
+			tag = plan.Cells[0].Tag
+		} else {
+			tag = h.cellTag(grid)
+		}
 		if cells, err := h.cellStore.Load(tag, grid); err == nil {
 			if verr := results.Verify(plan, cells); verr == nil {
 				return cells, nil
@@ -598,64 +593,6 @@ func (h *Harness) GridCells(grid string) ([]results.CellResult, error) {
 		}
 		return cells, nil
 	})
-}
-
-// RunCellShard simulates this process's shard (Options.ShardIndex of
-// Options.ShardCount) of the grid's cell plan and persists it as a
-// shard partial in the cache directory, returning the file written.
-// The split is a pure function of the plan, so N processes configured
-// i/N cover every cell exactly once without coordinating.
-func (h *Harness) RunCellShard(grid string) (string, error) {
-	if h.Opt.CacheDir == "" {
-		return "", errors.New("experiments: sharded experiment grids need a cache directory for partials")
-	}
-	if h.Opt.ShardCount < 1 {
-		return "", fmt.Errorf("experiments: ShardCount %d < 1", h.Opt.ShardCount)
-	}
-	plan, err := h.CellPlan(grid)
-	if err != nil {
-		return "", err
-	}
-	shard, err := plan.Shard(h.Opt.ShardIndex, h.Opt.ShardCount)
-	if err != nil {
-		return "", err
-	}
-	cells, err := h.RunCellTasks(grid, shard.Cells)
-	if err != nil {
-		return "", err
-	}
-	return h.cellStore.SaveShard(planTag(h, grid, plan), grid, h.Opt.ShardIndex, h.Opt.ShardCount, cells)
-}
-
-// MergeCellPartials merges the grid's persisted shard partials into
-// the merged results entry, verifying complete plan coverage (a lost
-// shard fails loudly rather than producing a sparse figure). It
-// returns the merged cell count. After a merge, ordinary figure runs
-// on the same cache directory load the cells without simulating.
-func (h *Harness) MergeCellPartials(grid string) (int, error) {
-	if h.Opt.CacheDir == "" {
-		return 0, errors.New("experiments: no cache directory to merge cell partials from")
-	}
-	plan, err := h.CellPlan(grid)
-	if err != nil {
-		return 0, err
-	}
-	cells, err := h.cellStore.MergeSavedShards(planTag(h, grid, plan), grid, plan)
-	if err != nil {
-		return 0, err
-	}
-	return len(cells), nil
-}
-
-// planTag reads the configuration tag off a locally-built plan
-// (CellPlan stamps every cell with it), avoiding a recompute that
-// would re-hash the whole workload axis; an empty plan falls back to
-// computing it.
-func planTag(h *Harness, grid string, plan *gridplan.CellPlan) string {
-	if len(plan.Cells) > 0 {
-		return plan.Cells[0].Tag
-	}
-	return h.cellTag(grid)
 }
 
 // cellSet indexes merged cells by (workload, scheme) for figure

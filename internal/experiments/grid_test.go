@@ -11,16 +11,14 @@ import (
 	"poise/internal/results"
 )
 
-// gridShardOptions is subsetOptions narrowed to one workload and a
-// coarse profile grid (the shard-merge equality holds at any
-// resolution), plus a shared cache directory and a shard assignment —
-// the experiment-grid analogue of shardOptions.
-func gridShardOptions(dir string, index, count int) Options {
+// gridOptions is subsetOptions narrowed to one workload and a coarse
+// profile grid (the cache equality holds at any resolution), plus a
+// cache directory.
+func gridOptions(dir string) Options {
 	o := subsetOptions(1, 0)
 	o.EvalSubset = []string{"bfs"}
 	o.EvalStepN, o.EvalStepP = 12, 12
 	o.CacheDir = dir
-	o.ShardIndex, o.ShardCount = index, count
 	return o
 }
 
@@ -136,129 +134,13 @@ func TestRunCellTasksValidatesPlan(t *testing.T) {
 	}
 }
 
-// TestRunCellShardValidatesOptions pins the error paths the commands
-// rely on: no cache directory, bad shard assignments, merges with
-// nothing to merge.
-func TestRunCellShardValidatesOptions(t *testing.T) {
-	o := subsetOptions(1, 0)
-	o.ShardCount = 2
-	if _, err := NewHarness(o).RunCellShard("compute"); err == nil {
-		t.Fatal("RunCellShard without a cache dir must error")
-	}
-	if _, err := NewHarness(gridShardOptions(t.TempDir(), 0, 0)).RunCellShard("compute"); err == nil {
-		t.Fatal("RunCellShard with ShardCount 0 must error")
-	}
-	if _, err := NewHarness(gridShardOptions(t.TempDir(), 5, 2)).RunCellShard("compute"); err == nil {
-		t.Fatal("RunCellShard with an out-of-range index must error")
-	}
-	if _, err := NewHarness(subsetOptions(1, 0)).MergeCellPartials("compute"); err == nil {
-		t.Fatal("MergeCellPartials without a cache dir must error")
-	}
-	if _, err := NewHarness(gridShardOptions(t.TempDir(), 0, 0)).MergeCellPartials("compute"); err == nil {
-		t.Fatal("MergeCellPartials with no partials must error")
-	}
-}
-
-// gridRoundTrip shards a grid's campaign across n independent
-// harnesses (as separate worker processes would), merges the partials,
-// and returns a fresh harness on the merged cache — the figure methods
-// on it assemble from the cached cells.
-func gridRoundTrip(t *testing.T, grid string, shards int) *Harness {
-	t.Helper()
-	dir := t.TempDir()
-	for i := 0; i < shards; i++ {
-		h := NewHarness(gridShardOptions(dir, i, shards))
-		if _, err := h.RunCellShard(grid); err != nil {
-			t.Fatalf("shards=%d: shard %d: %v", shards, i, err)
-		}
-	}
-	merger := NewHarness(gridShardOptions(dir, 0, shards))
-	n, err := merger.MergeCellPartials(grid)
-	if err != nil {
-		t.Fatalf("shards=%d: merge: %v", shards, err)
-	}
-	plan, err := merger.CellPlan(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(plan.Cells) {
-		t.Fatalf("shards=%d: merged %d cells, plan has %d", shards, n, len(plan.Cells))
-	}
-	return NewHarness(gridShardOptions(dir, 0, 0))
-}
-
-// TestSchemeGridShardRoundTripMatchesInProcess is the acceptance
-// property for the Fig. 7/8/9 grid: running the scheme grid as 1, 2
-// and 3 independent shard processes, merging, and assembling the
-// figures from the merged cells is reflect.DeepEqual-identical to the
-// in-process run.
-func TestSchemeGridShardRoundTripMatchesInProcess(t *testing.T) {
-	direct, err := NewHarness(gridShardOptions("", 0, 0)).Performance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardCounts := []int{1, 2, 3}
-	if raceEnabled {
-		shardCounts = []int{2} // ~10x slower simulation under -race
-	}
-	for _, shards := range shardCounts {
-		loaded := gridRoundTrip(t, "scheme", shards)
-		got, err := loaded.Performance()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(direct, got) {
-			t.Fatalf("shards=%d: merged scheme grid diverged from the in-process run:\ndirect %+v\nmerged %+v",
-				shards, direct, got)
-		}
-	}
-}
-
-// TestComputeGridShardRoundTripMatchesInProcess covers the first
-// sensitivity figure (Fig. 16) through the same 1/2/3-shard identity,
-// including its per-cell altered configuration (the 64x Pbest probe).
-func TestComputeGridShardRoundTripMatchesInProcess(t *testing.T) {
-	direct, err := NewHarness(gridShardOptions("", 0, 0)).Fig16()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 3} {
-		loaded := gridRoundTrip(t, "compute", shards)
-		got, err := loaded.Fig16()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(direct, got) {
-			t.Fatalf("shards=%d: merged compute grid diverged from the in-process run", shards)
-		}
-	}
-}
-
-// TestStrideGridShardRoundTripMatchesInProcess covers a second
-// sensitivity figure (Fig. 11) through the shard pipeline.
-func TestStrideGridShardRoundTripMatchesInProcess(t *testing.T) {
-	skipUnderRace(t)
-	direct, err := NewHarness(gridShardOptions("", 0, 0)).Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := gridRoundTrip(t, "stride", 2)
-	got, err := loaded.Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, got) {
-		t.Fatal("merged stride grid diverged from the in-process run")
-	}
-}
-
 // TestGridCellsCachesAndRepairs: an in-process grid run on a cache
 // directory persists its cells (so a re-run loads them), and a corrupt
 // entry is treated as a miss and overwritten — the LoadOrSweep repair
 // discipline, applied to cells.
 func TestGridCellsCachesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
-	h := NewHarness(gridShardOptions(dir, 0, 0))
+	h := NewHarness(gridOptions(dir))
 	want, err := h.Fig16()
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +159,7 @@ func TestGridCellsCachesAndRepairs(t *testing.T) {
 		t.Fatalf("cached %d cells, plan has %d", len(cells), len(plan.Cells))
 	}
 	// A second harness assembles identically (from the cache).
-	again, err := NewHarness(gridShardOptions(dir, 0, 0)).Fig16()
+	again, err := NewHarness(gridOptions(dir)).Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +174,7 @@ func TestGridCellsCachesAndRepairs(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := NewHarness(gridShardOptions(dir, 0, 0)).Fig16()
+	repaired, err := NewHarness(gridOptions(dir)).Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,17 +93,6 @@ type Options struct {
 	// evaluation set, so profile sweeps, tables and figures run over
 	// ingested traces unchanged.
 	ExtraWorkloads []*sim.Workload
-
-	// ShardIndex/ShardCount select this process's slice of a sharded
-	// campaign — the profile sweep plan for RunShard, or an experiment
-	// grid's cell plan for RunCellShard: of the plan's tasks (sorted by
-	// key), this process simulates those with index % ShardCount ==
-	// ShardIndex and persists the results as shard partials in
-	// CacheDir. ShardCount 0 (the default) means the harness is not
-	// shard-restricted. Merging any shard split is bit-identical to the
-	// in-process run, so fanning a sweep or a figure across processes
-	// or machines never changes a result.
-	ShardIndex, ShardCount int
 }
 
 func (o Options) withDefaults() Options {

@@ -302,58 +302,6 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 		100*float64(diagSim-noDiagSim)/float64(grid))
 }
 
-// TestRefineShardRoundTrip drives the staged poisebench campaign in
-// process: RefinePlan -> RunRefineShard (2 shards) ->
-// MergeRefinePartials, looped to convergence, must leave cached
-// profiles identical to the ones an independent pruned harness sweeps
-// in one process.
-func TestRefineShardRoundTrip(t *testing.T) {
-	cache := t.TempDir()
-	base := subsetOptions(1, 0)
-	base.Prune = true
-	base.CacheDir = cache
-
-	for round := 0; round < 12; round++ {
-		for i := 0; i < 2; i++ {
-			opt := base
-			opt.ShardIndex, opt.ShardCount = i, 2
-			if _, err := NewHarness(opt).RunRefineShard(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mopt := base
-		done, err := NewHarness(mopt).MergeRefinePartials()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		if round == 11 {
-			t.Fatal("staged refinement did not converge in 12 rounds")
-		}
-	}
-	// The staged campaign's cache must now serve profiles identical to
-	// an in-process pruned harness's.
-	staged := NewHarness(base)
-	inproc := subsetOptions(1, 0)
-	inproc.Prune = true
-	want := NewHarness(inproc)
-	for _, k := range sim.DistinctKernels(want.EvalWorkloads()) {
-		got, err := staged.KernelProfile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := want.KernelProfile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Points, pr.Points) {
-			t.Fatalf("staged pruned profile of %s differs from in-process", k.Name)
-		}
-	}
-}
-
 // TestPrunedSweepLiveMatchesOracle pins the live execution path: a
 // real PrunedSweep (RunTasks on pooled GPUs) of one representative
 // kernel must reproduce the oracle-replayed refinement bit for bit —

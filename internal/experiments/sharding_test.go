@@ -2,83 +2,29 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
+	"io"
 	"testing"
 
 	"poise/internal/gridplan"
-	"poise/internal/sim"
 )
 
-// shardOptions is subsetOptions narrowed to one workload and a
-// coarser grid (the equality holds at any resolution — the exhaustive
-// 1/2/3-shard sweep comparison lives in package profile where a
-// single sweep is cheap), plus a shared cache directory and a shard
-// assignment.
-func shardOptions(dir string, index, count int) Options {
-	o := subsetOptions(1, 0)
-	o.EvalSubset = []string{"bfs"}
-	o.EvalStepN, o.EvalStepP = 12, 12
-	o.CacheDir = dir
-	o.ShardIndex, o.ShardCount = index, count
-	return o
-}
-
-// TestHarnessShardRoundTripMatchesInProcess drives the full harness
-// shard workflow at the race-shrunk Small subset: emit the plan, run
-// it as 1, 2 and 3 independent shard harnesses (as separate worker
-// processes would), merge the partials, and require every merged,
-// cached profile to be reflect.DeepEqual-identical to the in-process
-// sweep the unsharded harness produces.
-func TestHarnessShardRoundTripMatchesInProcess(t *testing.T) {
-	direct := NewHarness(shardOptions("", 0, 0)) // no cache: in-process sweeps
-	kernels := sim.DistinctKernels(direct.EvalWorkloads())
-	want := map[string]interface{}{}
-	for _, k := range kernels {
-		pr, err := direct.KernelProfile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[k.Name] = pr
+// emitPlan writes the evaluation sweep plan as JSONL in canonical key
+// order, as the -emit-plan flows do.
+func emitPlan(w io.Writer, h *Harness) error {
+	plan, err := h.EvalPlan()
+	if err != nil {
+		return err
 	}
-
-	for _, shards := range []int{1, 2, 3} {
-		dir := t.TempDir()
-		for i := 0; i < shards; i++ {
-			h := NewHarness(shardOptions(dir, i, shards))
-			if _, err := h.RunShard(); err != nil {
-				t.Fatalf("shards=%d: shard %d: %v", shards, i, err)
-			}
-		}
-		merger := NewHarness(shardOptions(dir, 0, shards))
-		names, err := merger.MergeShardPartials()
-		if err != nil {
-			t.Fatalf("shards=%d: merge: %v", shards, err)
-		}
-		if len(names) != len(kernels) {
-			t.Fatalf("shards=%d: merged %d kernels, want %d", shards, len(names), len(kernels))
-		}
-		// A fresh harness on the merged cache must load profiles equal to
-		// the in-process sweeps.
-		loaded := NewHarness(shardOptions(dir, 0, 0))
-		for _, k := range kernels {
-			pr, err := loaded.KernelProfile(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want[k.Name], pr) {
-				t.Fatalf("shards=%d: kernel %s: merged profile differs from in-process sweep", shards, k.Name)
-			}
-		}
-	}
+	plan.Sort()
+	return gridplan.WritePlan(w, plan)
 }
 
 // TestEmitPlanRoundTrips checks the plan surface the coordinator
 // ships to workers: JSONL round-trip, digest-carrying tasks, stable
 // content across harness constructions.
 func TestEmitPlanRoundTrips(t *testing.T) {
-	h := NewHarness(subsetOptions(1, 0))
 	var buf bytes.Buffer
-	if err := h.EmitPlan(&buf); err != nil {
+	if err := emitPlan(&buf, NewHarness(subsetOptions(1, 0))); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := gridplan.ReadPlan(bytes.NewReader(buf.Bytes()))
@@ -94,31 +40,10 @@ func TestEmitPlanRoundTrips(t *testing.T) {
 		}
 	}
 	var buf2 bytes.Buffer
-	if err := NewHarness(subsetOptions(1, 0)).EmitPlan(&buf2); err != nil {
+	if err := emitPlan(&buf2, NewHarness(subsetOptions(1, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("plan emission must be deterministic across harnesses")
-	}
-}
-
-// TestRunShardValidatesOptions pins the error paths: no cache dir, bad
-// shard assignment.
-func TestRunShardValidatesOptions(t *testing.T) {
-	o := subsetOptions(1, 0)
-	o.ShardCount = 2
-	if _, err := NewHarness(o).RunShard(); err == nil {
-		t.Fatal("RunShard without a cache dir must error")
-	}
-	h := NewHarness(shardOptions(t.TempDir(), 0, 0))
-	if _, err := h.RunShard(); err == nil {
-		t.Fatal("RunShard with ShardCount 0 must error")
-	}
-	h = NewHarness(shardOptions(t.TempDir(), 5, 2))
-	if _, err := h.RunShard(); err == nil {
-		t.Fatal("RunShard with an out-of-range index must error")
-	}
-	if _, err := NewHarness(subsetOptions(1, 0)).MergeShardPartials(); err == nil {
-		t.Fatal("MergeShardPartials without a cache dir must error")
 	}
 }

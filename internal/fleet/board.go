@@ -15,6 +15,10 @@ type unit struct {
 	line json.RawMessage
 }
 
+// Key makes units gridplan.Keyed, so a static lease is exactly
+// gridplan.Shard's i-of-n hand of the generation.
+func (u unit) Key() string { return u.key }
+
 // lease is one worker's in-flight batch. pending keeps grant order:
 // workers execute front to back, so the tail holds the tasks least
 // likely to have started — the steal policy takes from there.
@@ -26,31 +30,37 @@ type lease struct {
 }
 
 // board is the coordinator's scheduling state for one plan generation:
-// a queue of unassigned units, the live leases, and the accepted
-// results. It is a plain state machine — the coordinator serialises
-// access under its mutex — with the clock passed in, so unit tests
-// drive expiry deterministically.
+// the generation's units, a queue of unassigned ones, the live leases,
+// and the accepted results. It is a plain state machine — the
+// coordinator serialises access under its mutex — with the clock
+// passed in, so unit tests drive expiry deterministically.
 type board struct {
 	opts    Options
+	units   []unit // every unit of the generation, key order; never mutated
 	queue   []unit
 	leases  map[string]*lease
 	results map[string]json.RawMessage
-	total   int
 	nextID  int
 	stats   *Stats
 }
 
 func newBoard(units []unit, opts Options, stats *Stats) *board {
-	queue := append([]unit(nil), units...)
-	sort.Slice(queue, func(i, j int) bool { return queue[i].key < queue[j].key })
+	sorted := append([]unit(nil), units...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
 	return &board{
 		opts:    opts,
-		queue:   queue,
+		units:   sorted,
+		queue:   append([]unit(nil), sorted...),
 		leases:  map[string]*lease{},
-		results: make(map[string]json.RawMessage, len(queue)),
-		total:   len(queue),
+		results: make(map[string]json.RawMessage, len(sorted)),
 		stats:   stats,
 	}
+}
+
+// has reports whether key is a task of this generation.
+func (b *board) has(key string) bool {
+	i := sort.Search(len(b.units), func(i int) bool { return b.units[i].key >= key })
+	return i < len(b.units) && b.units[i].key == key
 }
 
 // expire requeues every lease whose deadline has passed. Expiry is
@@ -119,7 +129,7 @@ func (b *board) grant(worker string, now time.Time) (*lease, bool) {
 	b.stats.Granted++
 	if !stolen {
 		b.opts.Logf("fleet: lease %s: %d tasks to %s (%d queued, %d done of %d)",
-			l.id, len(units), worker, len(b.queue), len(b.results), b.total)
+			l.id, len(units), worker, len(b.queue), len(b.results), len(b.units))
 	}
 	return l, true
 }
@@ -143,14 +153,22 @@ func (b *board) stealVictim() *lease {
 	return victim
 }
 
-// complete records one task result. The first result for a key wins;
+// complete records one task result and reports whether key is a task
+// of this generation. A key outside the generation (a stale or forged
+// result) is counted in Stats.Rejected and changes nothing, so it can
+// never stand in for a missing task. The first result for a key wins;
 // later ones (steal races, transport retries) are counted and
 // dropped — identical by determinism, so the choice cannot change the
 // merged output. The key is removed from every lease's pending set,
 // so a worker finishing a task another worker stole settles the race
 // for both. The completing lease's deadline renews when it still
 // exists.
-func (b *board) complete(leaseID, key string, data json.RawMessage, now time.Time) {
+func (b *board) complete(leaseID, key string, data json.RawMessage, now time.Time) bool {
+	if !b.has(key) {
+		b.stats.Rejected++
+		b.opts.Logf("fleet: rejected result %s: not a task of this generation", key)
+		return false
+	}
 	if _, dup := b.results[key]; dup {
 		b.stats.Duplicates++
 	} else {
@@ -171,6 +189,7 @@ func (b *board) complete(leaseID, key string, data json.RawMessage, now time.Tim
 		}
 	}
 	b.expire(now)
+	return true
 }
 
 // owned returns the keys a lease still holds, in grant order, or nil
@@ -189,10 +208,24 @@ func (b *board) owned(leaseID string) ([]string, bool) {
 	return keys, true
 }
 
-func (b *board) done() bool { return len(b.results) == b.total }
+// done reports whether every task of the generation has a result;
+// complete admits only the generation's own keys, so the count is
+// exact.
+func (b *board) done() bool { return len(b.results) == len(b.units) }
 
-// finish returns the generation's results in key order — the same
-// canonical order the file-based shard merge produces.
+// missing returns the tasks that have no result yet, in key order.
+func (b *board) missing() []string {
+	var keys []string
+	for _, u := range b.units {
+		if _, ok := b.results[u.key]; !ok {
+			keys = append(keys, u.key)
+		}
+	}
+	return keys
+}
+
+// finish returns the generation's results in key order, the canonical
+// order of every merge.
 func (b *board) finish() []Result {
 	keys := make([]string, 0, len(b.results))
 	for k := range b.results {

@@ -169,3 +169,36 @@ func TestBoardFinishIsKeySorted(t *testing.T) {
 		}
 	}
 }
+
+// TestBoardRejectsKeysOutsideGeneration: a result whose key is not a
+// task of the generation — a stale lease, another plan's result, a
+// forged line — must be dropped and counted, never stored, so one
+// foreign key plus all but one real result is not a complete
+// generation.
+func TestBoardRejectsKeysOutsideGeneration(t *testing.T) {
+	b, clk, stats := testBoard(3, Options{LeaseTasks: 3})
+	l, _ := b.grant("w", clk.now())
+	if b.complete(l.id, "stale", json.RawMessage(`1`), clk.now()) {
+		t.Fatal("a key outside the generation must be rejected")
+	}
+	if !b.complete(l.id, "k000", json.RawMessage(`1`), clk.now()) ||
+		!b.complete(l.id, "k001", json.RawMessage(`1`), clk.now()) {
+		t.Fatal("the generation's own keys must be accepted")
+	}
+	if b.done() {
+		t.Fatal("two real results and one foreign one must not complete a three-task generation")
+	}
+	if stats.Rejected != 1 {
+		t.Fatalf("Rejected = %d, want 1", stats.Rejected)
+	}
+	if got := b.missing(); !reflect.DeepEqual(got, []string{"k002"}) {
+		t.Fatalf("missing() = %v, want [k002]", got)
+	}
+	if keys, _ := b.owned(l.id); !reflect.DeepEqual(keys, []string{"k002"}) {
+		t.Fatalf("lease still owns %v, want [k002]", keys)
+	}
+	b.complete(l.id, "k002", json.RawMessage(`1`), clk.now())
+	if !b.done() || len(b.finish()) != 3 {
+		t.Fatal("the generation must complete with exactly its own three results")
+	}
+}

@@ -112,7 +112,7 @@ func (c CellCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, error)
 // RefineCampaign drives a staged pruned sweep: each generation is one
 // refinement round across every unconverged kernel, and the next
 // round's plan is a pure function of the measurements merged so far —
-// the same BuildRefinePlan the file-based flow uses, so the fleet's
+// the same BuildRefinePlan profile.PrunedSweep uses, so the fleet's
 // rounds are the rounds a single process would run.
 type RefineCampaign struct {
 	cfg   config.Config
@@ -253,6 +253,24 @@ func (c *RefineCampaign) fold(prev []Result) error {
 	return nil
 }
 
+// Merged reports whether every task of plan already has a measurement
+// in the campaign's folded rounds: a retried merge of a round that was
+// already folded, which must not be folded — or persisted — again.
+func (c *RefineCampaign) Merged(plan *gridplan.Plan) bool {
+	have := map[string]bool{}
+	for _, st := range c.states {
+		for _, m := range st.prior {
+			have[m.Key()] = true
+		}
+	}
+	for _, t := range plan.Tasks {
+		if !have[t.Key()] {
+			return false
+		}
+	}
+	return true
+}
+
 // SaveTo assembles the converged profiles into a profile store — the
 // same MergeShards + Save path every other campaign tail uses — and
 // returns the kernel names saved. It is the refinement's final
@@ -279,10 +297,9 @@ func (c *RefineCampaign) SaveTo(st profile.Store) ([]string, error) {
 }
 
 // SaveProfiles decodes a profile campaign's results, groups them per
-// (tag, kernel), and assembles each group through the same
-// profile.MergeShards + Store.Save path the file-based merge uses —
-// so the fleet's output directory is byte-identical to the
-// single-process sweep's. Returns the kernel names saved, in plan key
+// (tag, kernel), and assembles each group through profile.MergeShards
+// + Store.Save — the arithmetic of the in-process sweep — so the
+// output directory is byte-identical to the single-process sweep's. Returns the kernel names saved, in plan key
 // order.
 func SaveProfiles(st profile.Store, rs []Result) ([]string, error) {
 	type group struct {
@@ -323,8 +340,8 @@ func SaveProfiles(st profile.Store, rs []Result) ([]string, error) {
 }
 
 // SaveCells decodes a cell campaign's results and saves the merged
-// cell set through the same results.Store path the file-based merge
-// uses. Returns the (tag, grid) saved and the cell count.
+// cell set into the results store figure runs load from. Returns the
+// (tag, grid) saved and the cell count.
 func SaveCells(st results.Store, rs []Result) (tag, grid string, n int, err error) {
 	cells := make([]results.CellResult, 0, len(rs))
 	for _, r := range rs {

@@ -12,6 +12,16 @@ import (
 	"time"
 )
 
+// Limits of the coordinator's HTTP server: a completion body larger
+// than maxCompleteBytes is refused (workers stream one chunk of
+// results per request, far below it), and slow or idle clients cannot
+// pin connections forever.
+const (
+	maxCompleteBytes  = 64 << 20
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Coordinator serves a Campaign to workers: it publishes the current
 // plan generation, grants leases, accepts streamed completions, and
 // advances to the next generation when the current one's results are
@@ -24,6 +34,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	gen      int
 	planData []byte
+	plan     string // content digest of planData, "" once done
 	board    *board
 	stats    Stats
 	results  []Result // accumulated across generations, key order per gen
@@ -63,12 +74,14 @@ func (c *Coordinator) advanceLocked(prev []Result) error {
 		if done {
 			c.done = true
 			c.board = nil
+			c.plan = ""
 			c.opts.Logf("fleet: campaign complete: %s", c.statsLineLocked())
 			close(c.finished)
 			return nil
 		}
 		if len(units) > 0 {
 			c.planData = planData
+			c.plan = planDigest(planData)
 			c.board = newBoard(units, c.opts, &c.stats)
 			c.stats.Generations++
 			c.stats.Tasks += len(units)
@@ -80,9 +93,9 @@ func (c *Coordinator) advanceLocked(prev []Result) error {
 }
 
 func (c *Coordinator) statsLineLocked() string {
-	return fmt.Sprintf("%d tasks over %d generations; leases granted %d, expired %d, stolen batches %d (%d tasks), duplicate results %d",
+	return fmt.Sprintf("%d tasks over %d generations; leases granted %d, expired %d, stolen batches %d (%d tasks), duplicate results %d, rejected results %d",
 		c.stats.Tasks, c.stats.Generations, c.stats.Granted, c.stats.Expired,
-		c.stats.StolenBatches, c.stats.StolenTasks, c.stats.Duplicates)
+		c.stats.StolenBatches, c.stats.StolenTasks, c.stats.Duplicates, c.stats.Rejected)
 }
 
 // Stats returns a snapshot of the scheduling counters.
@@ -194,70 +207,61 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(r.Body)
-	var hdr completeHeader
-	if err := readHeader(br, &hdr); err != nil {
-		http.Error(w, "fleet: bad completion header: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	rawLines, err := readLines(br, hdr.Count)
+	hdr, lines, err := decodeCompletion(http.MaxBytesReader(w, r.Body, maxCompleteBytes))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	lines := make([]resultLine, len(rawLines))
-	for i, raw := range rawLines {
-		if err := json.Unmarshal(raw, &lines[i]); err != nil {
-			http.Error(w, fmt.Sprintf("fleet: completion line %d: %v", i+1, err), http.StatusBadRequest)
-			return
-		}
-		if lines[i].Key == "" {
-			http.Error(w, fmt.Sprintf("fleet: completion line %d has no key", i+1), http.StatusBadRequest)
-			return
-		}
-	}
+	rep := c.complete(hdr, lines)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(rep)
+}
 
+// complete applies one decoded completion batch — a served worker's
+// POST or the lines of static lease files — to the current
+// generation, and advances the campaign when the batch finishes it.
+func (c *Coordinator) complete(hdr completeHeader, lines []resultLine) completeReply {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	rep := completeReply{Fleet: "complete"}
 	switch {
 	case c.err != nil:
 		rep.Status, rep.Error = statusErr, c.err.Error()
+		return rep
 	case c.done:
 		rep.Status = statusDone
+		return rep
 	case hdr.Gen != c.gen:
 		rep.Status = statusGen
-	default:
-		rep.Status = statusOK
-		now := c.opts.now()
-		for _, l := range lines {
-			if l.Error != "" {
-				// Task failures are deterministic (digest mismatches,
-				// invalid tasks): retrying elsewhere cannot succeed, so
-				// fail the campaign fast.
-				c.failLocked(fmt.Errorf("fleet: task %s failed on worker %s: %s", l.Key, hdr.Worker, l.Error))
-				rep.Status, rep.Error = statusErr, c.err.Error()
-				break
-			}
-			before := c.stats.Duplicates
-			c.board.complete(hdr.Lease, l.Key, l.Data, now)
-			rep.Duplicates += c.stats.Duplicates - before
+		return rep
+	}
+	rep.Status = statusOK
+	now := c.opts.now()
+	for _, l := range lines {
+		if l.Error != "" {
+			// Task failures are deterministic (digest mismatches,
+			// invalid tasks): retrying elsewhere cannot succeed, so
+			// fail the campaign fast.
+			c.failLocked(fmt.Errorf("fleet: task %s failed on worker %s: %s", l.Key, hdr.Worker, l.Error))
+			rep.Status, rep.Error = statusErr, c.err.Error()
+			return rep
 		}
-		if rep.Status == statusOK {
-			rep.Owned, _ = c.board.owned(hdr.Lease)
-			if c.board.done() {
-				genResults := c.board.finish()
-				c.results = append(c.results, genResults...)
-				if err := c.advanceLocked(genResults); err != nil {
-					c.failLocked(err)
-					rep.Status, rep.Error = statusErr, c.err.Error()
-				}
-			}
+		before := c.stats.Duplicates
+		if !c.board.complete(hdr.Lease, l.Key, l.Data, now) {
+			rep.Rejected = append(rep.Rejected, l.Key)
+		}
+		rep.Duplicates += c.stats.Duplicates - before
+	}
+	rep.Owned, _ = c.board.owned(hdr.Lease)
+	if c.board.done() {
+		genResults := c.board.finish()
+		c.results = append(c.results, genResults...)
+		if err := c.advanceLocked(genResults); err != nil {
+			c.failLocked(err)
+			rep.Status, rep.Error = statusErr, c.err.Error()
 		}
 	}
-	c.mu.Unlock()
-
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+	return rep
 }
 
 // Serve runs the coordinator's HTTP server on ln-style addr until the
@@ -266,7 +270,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 // down and returns the results. The bound address (useful with ":0")
 // is reported through addrCh when non-nil.
 func (c *Coordinator) Serve(ctx context.Context, addr string, addrCh chan<- string) ([]Result, error) {
-	srv := &http.Server{Addr: addr, Handler: c.Handler()}
+	srv := &http.Server{Addr: addr, Handler: c.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	ln, err := listen(addr)
 	if err != nil {

@@ -13,9 +13,9 @@ import (
 )
 
 // ProfileExecutor runs profile sweep tasks against a local kernel
-// catalogue via profile.RunTasks — the same executor the file-based
-// shard flow uses, so a task's measurement bytes do not depend on
-// which process ran it.
+// catalogue via profile.RunTasks — the executor of served and static
+// leases alike, so a task's measurement bytes do not depend on which
+// process ran it.
 type ProfileExecutor struct {
 	Cfg     config.Config
 	Kernels map[string]*trace.Kernel
@@ -44,7 +44,7 @@ func (e ProfileExecutor) Prepare(planData []byte) (Batch, error) {
 			digests[t.Kernel] = d
 		}
 		if t.Digest != "" && t.Digest != d {
-			return nil, fmt.Errorf("fleet: plan task %s: kernel digest %s, local traces have %s", t.Key(), t.Digest, d)
+			return nil, fmt.Errorf("fleet: plan task %s: kernel digest mismatch: plan has %s, local traces have %s", t.Key(), t.Digest, d)
 		}
 	}
 	return profileBatch{e}, nil
@@ -76,7 +76,7 @@ func (b profileBatch) Run(lines []json.RawMessage) ([]json.RawMessage, error) {
 }
 
 // CellExecutor runs experiment-grid cells through a local harness's
-// RunCellTasks — again the exact executor the sharded file flow uses.
+// RunCellTasks.
 type CellExecutor struct {
 	H *experiments.Harness
 }

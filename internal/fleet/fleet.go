@@ -3,13 +3,16 @@
 // cell grid, or staged refinement rounds), serves leases of task
 // batches over HTTP+JSONL, collects streamed partial results, and
 // repairs imbalance and failure by reassigning expired leases and
-// stealing unstarted tasks from loaded workers for idle ones.
+// stealing unstarted tasks from loaded workers for idle ones. The
+// same campaigns also run as static leases (static.go): fixed i/N
+// slices written to files and merged through the coordinator's
+// completion path, so file shards and served leases share one result
+// format and one merge.
 //
 // The package adds scheduling, not semantics: workers wrap the
 // existing executors (profile.RunTasks, Harness.RunCellTasks) and the
-// coordinator assembles results through the same merge code the
-// file-based shard flow uses, so a fleet run is byte-identical to the
-// single-process run. That guarantee holds under every failure the
+// coordinator assembles results through the same save code the
+// single-process run uses, so a fleet run is byte-identical to it. That guarantee holds under every failure the
 // protocol tolerates, because each task's result is a pure function of
 // the task itself (the plan carries content digests; the simulator is
 // deterministic): a task that runs twice — stolen while in flight,
@@ -29,7 +32,9 @@
 //     to have started), provided it holds at least StealMin tasks.
 //   - Duplicates: completions for an already-recorded task are counted
 //     and dropped; completions for a forgotten lease still record
-//     their results (they are correct — see above).
+//     their results (they are correct — see above). Completions whose
+//     key is not a task of the current generation are counted as
+//     rejected and dropped, so they can never complete a generation.
 //   - Task errors are deterministic (digest mismatches, invalid
 //     plans), so a worker-reported task error fails the whole campaign
 //     fast rather than retrying.
@@ -96,4 +101,5 @@ type Stats struct {
 	StolenBatches int // leases granted by stealing from another lease
 	StolenTasks   int // tasks moved by those steals
 	Duplicates    int // completions dropped because the task was already done
+	Rejected      int // completions dropped because the key is not a task of the generation
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"poise/internal/gridplan"
 )
 
 // The wire protocol is HTTP carrying the same JSONL idiom the plan
@@ -21,6 +23,9 @@ import (
 // partials), so the coordinator's progress view is per task: steals
 // take only genuinely unstarted work, and a worker killed mid-lease
 // loses at most the task it was running.
+//
+// A static lease file (static.go) is a /v1/complete body on disk, read
+// back by the same decoder.
 
 // Lease and completion statuses.
 const (
@@ -61,12 +66,16 @@ type leaseReply struct {
 	Error      string   `json:"error,omitempty"`
 }
 
-// completeHeader is the first line of a /v1/complete POST body; Count
-// result lines follow.
+// completeHeader is the first line of a /v1/complete POST body and of
+// a static lease file; Count result lines follow. Plan, set by static
+// leases, is the content digest of the plan generation the results
+// belong to: generation numbers restart in every process, so the merge
+// refuses a lease of another plan or refinement round by it.
 type completeHeader struct {
 	Worker string `json:"worker"`
 	Gen    int    `json:"gen"`
 	Lease  string `json:"lease"`
+	Plan   string `json:"plan,omitempty"`
 	Count  int    `json:"count"`
 }
 
@@ -83,56 +92,94 @@ type resultLine struct {
 // the lease still holds (grant order); a key the worker meant to run
 // next that is absent was stolen and must be skipped. Owned empty —
 // including when the lease itself was expired — means the worker
-// should request a fresh lease.
+// should request a fresh lease. Rejected lists result keys that are
+// not tasks of the current generation; they were dropped.
 type completeReply struct {
 	Fleet      string   `json:"fleet"` // "complete"
 	Status     string   `json:"status"`
 	Owned      []string `json:"owned,omitempty"`
 	Duplicates int      `json:"duplicates,omitempty"`
+	Rejected   []string `json:"rejected,omitempty"`
 	Error      string   `json:"error,omitempty"`
 }
 
-// writeJSONL writes the header followed by the given lines.
-func writeJSONL(w io.Writer, header any, lines []json.RawMessage) error {
+// maxLineBytes caps one JSONL line of a lease reply or completion
+// body (a cell result carries a whole workload's per-kernel results,
+// hence the generous bound). It, not any count a peer or file claims,
+// bounds what a decoder allocates per line.
+const maxLineBytes = 16 << 20
+
+// writeJSONL writes the header followed by one JSON line per record.
+func writeJSONL[T any](w io.Writer, header any, lines []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(header); err != nil {
 		return err
 	}
 	for _, l := range lines {
-		if _, err := bw.Write(l); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if err := enc.Encode(l); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// readJSONL decodes a header line and count lines (per the caller,
-// after it has read the header) from one stream.
-func readHeader(r *bufio.Reader, v any) error {
-	line, err := r.ReadBytes('\n')
-	if len(line) == 0 && err != nil {
-		return err
+// readJSONL decodes a header line into hdr, then every following line
+// as a T. count reads the number of lines the decoded header declares;
+// the body must hold exactly that many. Nothing is sized from the
+// count — a negative or absurd one fails the comparison, never an
+// allocation.
+func readJSONL[T any](r io.Reader, hdr any, count func() int) ([]T, error) {
+	sc := gridplan.NewJSONLScanner(r, maxLineBytes)
+	if err := sc.Next(hdr); err != nil {
+		return nil, fmt.Errorf("fleet: bad header: %w", err)
 	}
-	return json.Unmarshal(line, v)
-}
-
-// readLines reads exactly count JSON lines.
-func readLines(r *bufio.Reader, count int) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, 0, count)
-	for len(out) < count {
-		line, err := r.ReadBytes('\n')
-		if len(line) == 0 || (err != nil && err != io.EOF) {
-			return nil, fmt.Errorf("fleet: truncated body: %d of %d lines (%v)", len(out), count, err)
+	want := count()
+	if want < 0 {
+		return nil, fmt.Errorf("fleet: header declares %d lines", want)
+	}
+	var out []T
+	for {
+		var v T
+		err := sc.Next(&v)
+		if err == io.EOF {
+			break
 		}
-		raw := json.RawMessage(nil)
-		if uerr := json.Unmarshal(line, &raw); uerr != nil {
-			return nil, fmt.Errorf("fleet: body line %d: %w", len(out)+1, uerr)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: body line %d: %w", sc.Line(), err)
 		}
-		out = append(out, raw)
+		if len(out) == want {
+			return nil, fmt.Errorf("fleet: body has more than the %d lines its header declares", want)
+		}
+		out = append(out, v)
+	}
+	if len(out) != want {
+		return nil, fmt.Errorf("fleet: truncated body: %d of %d lines", len(out), want)
 	}
 	return out, nil
+}
+
+// decodeCompletion reads a /v1/complete body — a completeHeader line,
+// then one resultLine per finished task. It is the one decoder of task
+// results: the coordinator's HTTP handler and the static-lease merge
+// both read through it.
+func decodeCompletion(r io.Reader) (completeHeader, []resultLine, error) {
+	var hdr completeHeader
+	lines, err := readJSONL[resultLine](r, &hdr, func() int { return hdr.Count })
+	if err != nil {
+		return hdr, nil, fmt.Errorf("fleet: completion: %w", err)
+	}
+	for i, l := range lines {
+		if l.Key == "" {
+			return hdr, nil, fmt.Errorf("fleet: completion line %d has no key", i+1)
+		}
+	}
+	return hdr, lines, nil
+}
+
+// writeCompletion writes a /v1/complete body, stamping the header's
+// count.
+func writeCompletion(w io.Writer, hdr completeHeader, lines []resultLine) error {
+	hdr.Count = len(lines)
+	return writeJSONL(w, hdr, lines)
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -238,17 +237,13 @@ func (w *Worker) fetchPlan(ctx context.Context) (planEnvelope, []byte, error) {
 	if err != nil {
 		return planEnvelope{}, nil, err
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
+	line, rest, _ := bytes.Cut(body, []byte("\n"))
 	var env planEnvelope
-	if err := readHeader(br, &env); err != nil {
+	if err := json.Unmarshal(line, &env); err != nil {
 		return planEnvelope{}, nil, fmt.Errorf("fleet: plan envelope: %w", err)
 	}
 	if env.Fleet != "plan" {
 		return planEnvelope{}, nil, fmt.Errorf("fleet: %s is not a fleet coordinator (envelope %q)", w.Base, env.Fleet)
-	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return planEnvelope{}, nil, err
 	}
 	return env, rest, nil
 }
@@ -260,14 +255,10 @@ func (w *Worker) requestLease(ctx context.Context, gen int) (leaseReply, []json.
 	if err != nil {
 		return leaseReply{}, nil, err
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
 	var rep leaseReply
-	if err := readHeader(br, &rep); err != nil {
-		return leaseReply{}, nil, fmt.Errorf("fleet: lease reply: %w", err)
-	}
-	lines, err := readLines(br, rep.Count)
+	lines, err := readJSONL[json.RawMessage](bytes.NewReader(body), &rep, func() int { return rep.Count })
 	if err != nil {
-		return leaseReply{}, nil, err
+		return leaseReply{}, nil, fmt.Errorf("fleet: lease reply: %w", err)
 	}
 	return rep, lines, nil
 }
@@ -275,16 +266,7 @@ func (w *Worker) requestLease(ctx context.Context, gen int) (leaseReply, []json.
 // postComplete streams finished task results back.
 func (w *Worker) postComplete(ctx context.Context, gen int, leaseID string, lines []resultLine) (completeReply, error) {
 	var buf bytes.Buffer
-	raws := make([]json.RawMessage, len(lines))
-	for i, l := range lines {
-		raw, err := json.Marshal(l)
-		if err != nil {
-			return completeReply{}, err
-		}
-		raws[i] = raw
-	}
-	hdr := completeHeader{Worker: w.Name, Gen: gen, Lease: leaseID, Count: len(raws)}
-	if err := writeJSONL(&buf, hdr, raws); err != nil {
+	if err := writeCompletion(&buf, completeHeader{Worker: w.Name, Gen: gen, Lease: leaseID}, lines); err != nil {
 		return completeReply{}, err
 	}
 	body, err := w.do(ctx, http.MethodPost, "/v1/complete", buf.Bytes())

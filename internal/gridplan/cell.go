@@ -84,14 +84,3 @@ func (p *CellPlan) Validate() error {
 	}
 	return nil
 }
-
-// Shard returns the i-of-n slice of the plan — the same deterministic
-// key-sorted round-robin deal profile plans use, so N processes
-// configured i/N cover every cell exactly once without coordinating.
-func (p *CellPlan) Shard(i, n int) (*CellPlan, error) {
-	cells, err := shardKeyed(p.Cells, i, n)
-	if err != nil {
-		return nil, err
-	}
-	return &CellPlan{Version: p.Version, Cells: cells}, nil
-}

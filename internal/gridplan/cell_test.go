@@ -3,6 +3,7 @@ package gridplan
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -81,11 +82,11 @@ func TestCellPlanShardPartition(t *testing.T) {
 		seen := map[string]int{}
 		total := 0
 		for i := 0; i < n; i++ {
-			s, err := p.Shard(i, n)
+			s, err := Shard(p.Cells, i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range s.Cells {
+			for _, c := range s {
 				seen[c.Key()]++
 				total++
 			}
@@ -99,13 +100,13 @@ func TestCellPlanShardPartition(t *testing.T) {
 			}
 		}
 	}
-	if _, err := p.Shard(-1, 2); err == nil {
+	if _, err := Shard(p.Cells, -1, 2); err == nil {
 		t.Fatal("negative shard index must fail")
 	}
-	if _, err := p.Shard(2, 2); err == nil {
+	if _, err := Shard(p.Cells, 2, 2); err == nil {
 		t.Fatal("out-of-range shard index must fail")
 	}
-	if _, err := p.Shard(0, 0); err == nil {
+	if _, err := Shard(p.Cells, 0, 0); err == nil {
 		t.Fatal("zero shard count must fail")
 	}
 }
@@ -130,11 +131,18 @@ func TestCellKeyPreservesSchemeOrder(t *testing.T) {
 func TestPlanFileFormatSniffs(t *testing.T) {
 	dir := t.TempDir()
 	cell := dir + "/cells.jsonl"
-	if err := WriteCellPlanFile(cell, cellPlanForTest(1, 2)); err != nil {
+	var cells, plan bytes.Buffer
+	if err := WriteCellPlan(&cells, cellPlanForTest(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cell, cells.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	prof := dir + "/plan.jsonl"
-	if err := WritePlanFile(prof, planForTest(4)); err != nil {
+	if err := WritePlan(&plan, planForTest(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prof, plan.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := PlanFileFormat(cell); err != nil || f != CellPlanFormat {

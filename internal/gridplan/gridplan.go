@@ -112,10 +112,12 @@ func sortKeyed[T Keyed](ts []T) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
 }
 
-// shardKeyed deals the key-sorted records round-robin and returns the
-// i-of-n hand: a pure function of (records, i, n), so any process
-// holding the same plan computes the same shard.
-func shardKeyed[T Keyed](ts []T, i, n int) ([]T, error) {
+// Shard deals the key-sorted records round-robin and returns the i-of-n
+// hand: shards are near-equal in size and the split is a pure function
+// of (records, i, n), so any process holding the same plan computes the
+// same shard without coordinating. Shard(ts, 0, 1) is every record.
+// Static fleet leases are exactly these hands.
+func Shard[T Keyed](ts []T, i, n int) ([]T, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gridplan: shard count %d < 1", n)
 	}
@@ -153,8 +155,7 @@ func MergeKeyed[T Keyed](shards ...[]T) ([]T, error) {
 
 // VerifyCover checks that got covers tasks exactly — no key missing,
 // none extra, none duplicated. noun names the record kind in error
-// messages. Plan.Verify and the results store's cell verification are
-// both this check.
+// messages; the results store's cell verification is this check.
 func VerifyCover[T Keyed, M Keyed](tasks []T, got []M, noun string) error {
 	want := map[string]bool{}
 	for _, t := range tasks {
@@ -186,9 +187,8 @@ type Plan struct {
 	Tasks   []Task `json:"-"`
 }
 
-// Sort orders the tasks by key (stable identity order). Shard and
-// Verify call it implicitly; exported for callers that want the
-// canonical order for display.
+// Sort orders the tasks by key: the canonical order Shard deals in and
+// merges produce.
 func (p *Plan) Sort() { sortKeyed(p.Tasks) }
 
 // Validate reports duplicate task keys or malformed coordinates.
@@ -208,19 +208,6 @@ func (p *Plan) Validate() error {
 		seen[k] = true
 	}
 	return nil
-}
-
-// Shard returns the i-of-n slice of the plan: tasks are sorted by key
-// and dealt round-robin, so shards are near-equal in size and the
-// split is a pure function of (plan, i, n) — any process holding the
-// same plan file computes the same shard. Shard(0, 1) is the whole
-// plan.
-func (p *Plan) Shard(i, n int) (*Plan, error) {
-	tasks, err := shardKeyed(p.Tasks, i, n)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Version: p.Version, Tasks: tasks}, nil
 }
 
 // ParseShard parses a command-line "i/N" shard assignment (e.g.
@@ -320,14 +307,6 @@ func (m Measurement) Key() string {
 // any shard decomposition of a plan merges to the same slice.
 func Merge(shards ...[]Measurement) ([]Measurement, error) {
 	return MergeKeyed(shards...)
-}
-
-// Verify checks that the measurements cover the plan's tasks exactly:
-// no point missing, none extra. Use it before assembling profiles so a
-// lost or double-submitted shard fails loudly instead of producing a
-// silently sparse profile.
-func (p *Plan) Verify(ms []Measurement) error {
-	return VerifyCover(p.Tasks, ms, "measurement")
 }
 
 // KernelDigest fingerprints a kernel's content: structure, body,

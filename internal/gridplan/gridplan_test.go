@@ -103,12 +103,12 @@ func TestShardPartition(t *testing.T) {
 		total := 0
 		var sizes []int
 		for i := 0; i < n; i++ {
-			s, err := p.Shard(i, n)
+			s, err := Shard(p.Tasks, i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sizes = append(sizes, len(s.Tasks))
-			for _, task := range s.Tasks {
+			sizes = append(sizes, len(s))
+			for _, task := range s {
 				seen[task.Key()]++
 				total++
 			}
@@ -135,17 +135,17 @@ func TestShardPartition(t *testing.T) {
 			t.Fatalf("n=%d: unbalanced shards %v", n, sizes)
 		}
 	}
-	if _, err := p.Shard(2, 2); err == nil {
+	if _, err := Shard(p.Tasks, 2, 2); err == nil {
 		t.Fatal("out-of-range shard index must error")
 	}
-	if _, err := p.Shard(0, 0); err == nil {
+	if _, err := Shard(p.Tasks, 0, 0); err == nil {
 		t.Fatal("zero shard count must error")
 	}
 }
 
-func measurementsFor(p *Plan) []Measurement {
+func measurementsFor(tasks []Task) []Measurement {
 	var ms []Measurement
-	for _, t := range p.Tasks {
+	for _, t := range tasks {
 		ms = append(ms, Measurement{
 			Tag: t.Tag, Kernel: t.Kernel, N: t.N, P: t.P,
 			IPC: float64(t.N) + float64(t.P)/100, Cycles: int64(t.N * 1000),
@@ -154,9 +154,9 @@ func measurementsFor(p *Plan) []Measurement {
 	return ms
 }
 
-func TestMergeAnyShardCountIdentical(t *testing.T) {
+func TestMergeAnySplitIdentical(t *testing.T) {
 	p := planForTest(12)
-	full := measurementsFor(p)
+	full := measurementsFor(p.Tasks)
 	want, err := Merge(full)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestMergeAnyShardCountIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4} {
 		var shards [][]Measurement
 		for i := 0; i < n; i++ {
-			s, err := p.Shard(i, n)
+			s, err := Shard(p.Tasks, i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestMergeAnyShardCountIdentical(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("merge of %d shards differs from single-shard merge", n)
 		}
-		if err := p.Verify(got); err != nil {
+		if err := VerifyCover(p.Tasks, got, "measurement"); err != nil {
 			t.Fatalf("n=%d: complete merge failed verification: %v", n, err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestMergeAnyShardCountIdentical(t *testing.T) {
 
 func TestMergeRejectsDuplicates(t *testing.T) {
 	p := planForTest(6)
-	ms := measurementsFor(p)
+	ms := measurementsFor(p.Tasks)
 	if _, err := Merge(ms, ms[:1]); err == nil {
 		t.Fatal("duplicate measurement must fail the merge")
 	}
@@ -193,20 +193,20 @@ func TestMergeRejectsDuplicates(t *testing.T) {
 
 func TestVerifyCatchesMissingAndExtra(t *testing.T) {
 	p := planForTest(6)
-	ms := measurementsFor(p)
-	if err := p.Verify(ms[1:]); err == nil {
+	ms := measurementsFor(p.Tasks)
+	if err := VerifyCover(p.Tasks, ms[1:], "measurement"); err == nil {
 		t.Fatal("missing measurement must fail verification")
 	}
 	extra := append(append([]Measurement(nil), ms...),
 		Measurement{Tag: "cfg1", Kernel: "k1", N: 999, P: 999})
-	if err := p.Verify(extra); err == nil {
+	if err := VerifyCover(p.Tasks, extra, "measurement"); err == nil {
 		t.Fatal("extra measurement must fail verification")
 	}
 }
 
 func TestMeasurementsJSONLRoundTrip(t *testing.T) {
 	p := planForTest(8)
-	ms := measurementsFor(p)
+	ms := measurementsFor(p.Tasks)
 	var buf bytes.Buffer
 	if err := WriteMeasurements(&buf, 1, 3, ms); err != nil {
 		t.Fatal(err)

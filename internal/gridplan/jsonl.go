@@ -112,22 +112,6 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	return p, nil
 }
 
-// WritePlanFile writes a plan to path.
-func WritePlanFile(path string, p *Plan) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WritePlan(f, p)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("gridplan: writing %s: %w", path, err)
-	}
-	return nil
-}
-
 // ReadPlanFile reads a plan from path.
 func ReadPlanFile(path string) (*Plan, error) {
 	f, err := os.Open(path)
@@ -272,22 +256,6 @@ func ReadCellPlan(r io.Reader) (*CellPlan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// WriteCellPlanFile writes a cell plan to path.
-func WriteCellPlanFile(path string, p *CellPlan) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WriteCellPlan(f, p)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("gridplan: writing %s: %w", path, err)
-	}
-	return nil
 }
 
 // ReadCellPlanFile reads a cell plan from path.

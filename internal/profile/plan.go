@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"poise/internal/config"
@@ -242,7 +240,7 @@ func MergeShards(kernel string, shards ...[]gridplan.Measurement) (*Profile, err
 // SweepTag digests the sweep-relevant parts of (configuration, grid
 // resolution) into a short cache tag for standalone (non-harness)
 // sweeps, e.g. the poisesim plan/shard flow. Two processes agreeing on
-// flags agree on the tag, so their plan, shard partials and merged
+// flags agree on the tag, so their plan, lease results and merged
 // profiles key consistently.
 func SweepTag(cfg config.Config, opts SweepOptions) string {
 	opts = opts.withDefaults()
@@ -255,88 +253,4 @@ func SweepTag(cfg config.Config, opts SweepOptions) string {
 	}
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:6])
-}
-
-// Shard partial persistence: one JSONL measurement file per
-// (tag, kernel, shard) in the store directory, merged back into the
-// regular profile cache entry by MergeSavedShards.
-
-func (s Store) shardPath(tag, kernel string, index, count int) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.shard%03dof%03d.jsonl", tag, kernel, index, count))
-}
-
-// SaveShard persists one shard's measurements for (tag, kernel) and
-// returns the file path.
-func (s Store) SaveShard(tag, kernel string, index, count int, ms []gridplan.Measurement) (string, error) {
-	if s.Dir == "" {
-		return "", fmt.Errorf("profile: store has no directory for shard partials")
-	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return "", err
-	}
-	path := s.shardPath(tag, kernel, index, count)
-	if err := gridplan.WriteMeasurementsFile(path, index, count, ms); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// LoadShards reads every persisted shard partial for (tag, kernel),
-// in sorted file order. It returns os.ErrNotExist when none are
-// present.
-func (s Store) LoadShards(tag, kernel string) ([][]gridplan.Measurement, error) {
-	if s.Dir == "" {
-		return nil, os.ErrNotExist
-	}
-	files, err := filepath.Glob(filepath.Join(s.Dir, fmt.Sprintf("%s_%s.shard*.jsonl", tag, kernel)))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("profile: no shard partials for %s/%s in %s: %w", tag, kernel, s.Dir, os.ErrNotExist)
-	}
-	sort.Strings(files)
-	var shards [][]gridplan.Measurement
-	for _, f := range files {
-		ms, err := gridplan.ReadMeasurementsFile(f)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, ms)
-	}
-	return shards, nil
-}
-
-// MergeSavedShards merges every persisted shard partial of
-// (tag, kernel) into a full Profile, verifies it against plan when one
-// is given (exact task coverage — a lost shard fails loudly), caches
-// it as the regular profile entry, and returns it.
-func (s Store) MergeSavedShards(tag, kernel string, plan *gridplan.Plan) (*Profile, error) {
-	shards, err := s.LoadShards(tag, kernel)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		var sub gridplan.Plan
-		for _, t := range plan.Tasks {
-			if t.Tag == tag && t.Kernel == kernel {
-				sub.Tasks = append(sub.Tasks, t)
-			}
-		}
-		merged, err := gridplan.Merge(shards...)
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.Verify(merged); err != nil {
-			return nil, err
-		}
-	}
-	pr, err := MergeShards(kernel, shards...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Save(tag, pr); err != nil {
-		return nil, err
-	}
-	return pr, nil
 }

@@ -32,11 +32,11 @@ func TestShardedSweepMatchesInProcess(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		var shards [][]gridplan.Measurement
 		for i := 0; i < n; i++ {
-			sp, err := plan.Shard(i, n)
+			sp, err := gridplan.Shard(plan.Tasks, i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, err := RunTasks(cfg, kernels, sp.Tasks, opts)
+			ms, err := RunTasks(cfg, kernels, sp, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,60 +155,5 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 		if !bytes.Equal(repaired, good) {
 			t.Fatalf("%s: cache entry not repaired", name)
 		}
-	}
-}
-
-// TestStoreShardPartialsRoundTrip drives the Store's shard partial
-// lifecycle end to end: save per-shard measurements, merge them, and
-// get back both a cached entry and a Profile identical to Sweep's.
-func TestStoreShardPartialsRoundTrip(t *testing.T) {
-	st := Store{Dir: t.TempDir()}
-	cfg := testutil.TinyConfig()
-	k := testutil.ThrashKernel("shardstore", 20, 10, 2)
-	opts := SweepOptions{StepN: 6, StepP: 6}
-	tag := SweepTag(cfg, opts)
-
-	want, err := Sweep(cfg, k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := BuildPlan(tag, cfg, k, opts)
-	kernels := map[string]*trace.Kernel{k.Name: k}
-	const shards = 3
-	for i := 0; i < shards; i++ {
-		sp, err := plan.Shard(i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := RunTasks(cfg, kernels, sp.Tasks, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.SaveShard(tag, k.Name, i, shards, ms); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := st.MergeSavedShards(tag, k.Name, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("merged shard partials differ from the in-process sweep")
-	}
-	// The merge must have produced a regular cache entry.
-	cached, err := st.Load(tag, k.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, cached) {
-		t.Fatal("cached merged profile differs from the in-process sweep")
-	}
-
-	// A lost shard fails the plan-verified merge loudly.
-	if err := os.Remove(st.shardPath(tag, k.Name, 1, shards)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.MergeSavedShards(tag, k.Name, plan); err == nil {
-		t.Fatal("merge with a missing shard must fail verification")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"poise/internal/atomicfile"
 	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/snap"
@@ -298,21 +299,7 @@ func (s Store) Save(tag string, pr *Profile) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.Dir, pr.Kernel+".*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.path(tag, pr.Kernel))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(s.path(tag, pr.Kernel), data, 0o644); err != nil {
 		return fmt.Errorf("profile: saving %s: %w", s.path(tag, pr.Kernel), err)
 	}
 	return nil

@@ -77,11 +77,11 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 			}
 			var parts [][]gridplan.Measurement
 			for i := 0; i < shards; i++ {
-				sp, err := plan.Shard(i, shards)
+				sp, err := gridplan.Shard(plan.Tasks, i, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ms, err := RunTasks(cfg, kernelSet(k), sp.Tasks, opts)
+				ms, err := RunTasks(cfg, kernelSet(k), sp, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.Verify(merged); err != nil {
+			if err := gridplan.VerifyCover(plan.Tasks, merged, "measurement"); err != nil {
 				t.Fatal(err)
 			}
 			if all, err = gridplan.Merge(all, merged); err != nil {

@@ -50,40 +50,7 @@ func cellsForTest(workloads, schemes int) ([]CellResult, *gridplan.CellPlan) {
 	return cells, plan
 }
 
-func TestShardJSONLRoundTripDeepEqual(t *testing.T) {
-	cells, _ := cellsForTest(3, 3)
-	path := filepath.Join(t.TempDir(), "shard.jsonl")
-	if err := WriteShardFile(path, 1, 2, cells); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadShardFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cells, back) {
-		t.Fatalf("shard round trip is not DeepEqual-identical:\nwrote %+v\nread  %+v", cells, back)
-	}
-}
-
-func TestReadShardRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	for name, content := range map[string]string{
-		"garbage.jsonl":   "not json at all",
-		"wrongfmt.jsonl":  `{"format":"poiseplan","version":1,"tasks":0}`,
-		"badver.jsonl":    `{"format":"poisecellshard","version":99,"count":0}`,
-		"truncated.jsonl": `{"format":"poisecellshard","version":1,"count":3}`,
-	} {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadShardFile(p); err == nil {
-			t.Errorf("%s: must be rejected", name)
-		}
-	}
-}
-
-func TestMergeAnyShardCountIdenticalAndRejectsDuplicates(t *testing.T) {
+func TestMergeAnySplitIdenticalAndRejectsDuplicates(t *testing.T) {
 	cells, plan := cellsForTest(3, 4)
 	want, err := Merge(cells)
 	if err != nil {
@@ -92,12 +59,12 @@ func TestMergeAnyShardCountIdenticalAndRejectsDuplicates(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		var shards [][]CellResult
 		for i := 0; i < n; i++ {
-			sp, err := plan.Shard(i, n)
+			sp, err := gridplan.Shard(plan.Cells, i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var part []CellResult
-			for _, task := range sp.Cells {
+			for _, task := range sp {
 				for _, c := range cells {
 					if c.Key() == task.Key() {
 						part = append(part, c)
@@ -178,65 +145,5 @@ func TestStoreSaveLoadAndCorruption(t *testing.T) {
 		if _, err := s.Load("cfg", "g"); !errors.Is(err, os.ErrNotExist) {
 			t.Fatal("dirless store must miss on Load")
 		}
-	}
-}
-
-func TestStoreShardPartialsMerge(t *testing.T) {
-	cells, plan := cellsForTest(3, 3)
-	st := Store{Dir: t.TempDir()}
-	// Persist 2 shard partials as worker processes would.
-	for i := 0; i < 2; i++ {
-		sp, err := plan.Shard(i, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var part []CellResult
-		for _, task := range sp.Cells {
-			for _, c := range cells {
-				if c.Key() == task.Key() {
-					part = append(part, c)
-				}
-			}
-		}
-		if _, err := st.SaveShard("cfg", "scheme", i, 2, part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := st.MergeSavedShards("cfg", "scheme", plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Merge(cells)
-	if !reflect.DeepEqual(want, merged) {
-		t.Fatal("merged saved shards differ from direct merge")
-	}
-	// The merged entry is now the regular cache entry.
-	loaded, err := st.Load("cfg", "scheme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, loaded) {
-		t.Fatal("merged entry did not persist")
-	}
-	// A lost shard fails the merge loudly.
-	st2 := Store{Dir: t.TempDir()}
-	sp, _ := plan.Shard(0, 2)
-	var part []CellResult
-	for _, task := range sp.Cells {
-		for _, c := range cells {
-			if c.Key() == task.Key() {
-				part = append(part, c)
-			}
-		}
-	}
-	if _, err := st2.SaveShard("cfg", "scheme", 0, 2, part); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st2.MergeSavedShards("cfg", "scheme", plan); err == nil {
-		t.Fatal("merging with a missing shard must fail")
-	}
-	// No partials at all is ErrNotExist.
-	if _, err := (Store{Dir: t.TempDir()}).MergeSavedShards("cfg", "scheme", plan); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("no partials must be ErrNotExist, got %v", err)
 	}
 }

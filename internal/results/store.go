@@ -6,17 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
+	"poise/internal/atomicfile"
 	"poise/internal/gridplan"
 )
 
 // Store caches executed experiment grids on disk, keyed by a
 // caller-supplied configuration tag and the grid name — the same
-// contract profile.Store has for sweeps. Two artifact kinds share the
-// directory: shard partials (one JSONL file per (tag, grid, shard))
-// and the merged entry (one JSON file per (tag, grid)) that figure
-// runs load instead of re-simulating.
+// contract profile.Store has for sweeps. Each (tag, grid) has one JSON
+// entry holding the full cell set, which figure runs load instead of
+// re-simulating.
 type Store struct {
 	Dir string
 }
@@ -32,10 +31,6 @@ func (s Store) path(tag, grid string) string {
 	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.cells.json", tag, grid))
 }
 
-func (s Store) shardPath(tag, grid string, index, count int) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.cells.shard%03dof%03d.jsonl", tag, grid, index, count))
-}
-
 // cellsFile is the merged on-disk entry.
 type cellsFile struct {
 	Version int          `json:"version"`
@@ -44,7 +39,7 @@ type cellsFile struct {
 	Cells   []CellResult `json:"cells"`
 }
 
-// Save writes the merged cell set for (tag, grid).
+// Save writes the merged cell set for (tag, grid), atomically.
 func (s Store) Save(tag, grid string, cells []CellResult) error {
 	if s.Dir == "" {
 		return errors.New("results: store has no directory")
@@ -56,7 +51,7 @@ func (s Store) Save(tag, grid string, cells []CellResult) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(s.path(tag, grid), data, 0o644)
+	return atomicfile.WriteFile(s.path(tag, grid), data, 0o644)
 }
 
 // Load reads the merged cell set for (tag, grid); it returns
@@ -78,71 +73,4 @@ func (s Store) Load(tag, grid string) ([]CellResult, error) {
 		return nil, fmt.Errorf("results: %s: %w (decoded to an inconsistent or empty entry)", s.path(tag, grid), ErrCorrupt)
 	}
 	return f.Cells, nil
-}
-
-// SaveShard persists one shard's cells for (tag, grid) and returns the
-// file path.
-func (s Store) SaveShard(tag, grid string, index, count int, cells []CellResult) (string, error) {
-	if s.Dir == "" {
-		return "", errors.New("results: store has no directory for shard partials")
-	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return "", err
-	}
-	path := s.shardPath(tag, grid, index, count)
-	if err := WriteShardFile(path, index, count, cells); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// LoadShards reads every persisted shard partial for (tag, grid), in
-// sorted file order. It returns os.ErrNotExist when none are present.
-func (s Store) LoadShards(tag, grid string) ([][]CellResult, error) {
-	if s.Dir == "" {
-		return nil, os.ErrNotExist
-	}
-	files, err := filepath.Glob(filepath.Join(s.Dir, fmt.Sprintf("%s_%s.cells.shard*.jsonl", tag, grid)))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("results: no cell shard partials for %s/%s in %s: %w", tag, grid, s.Dir, os.ErrNotExist)
-	}
-	sort.Strings(files)
-	var shards [][]CellResult
-	for _, f := range files {
-		cells, err := ReadShardFile(f)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, cells)
-	}
-	return shards, nil
-}
-
-// MergeSavedShards merges every persisted shard partial of (tag, grid)
-// into the full cell set, verifies it against plan when one is given
-// (exact coverage and digest agreement — a lost shard fails loudly),
-// caches it as the merged entry, and returns it. After a merge,
-// ordinary figure runs on the same cache directory load the cells
-// without simulating.
-func (s Store) MergeSavedShards(tag, grid string, plan *gridplan.CellPlan) ([]CellResult, error) {
-	shards, err := s.LoadShards(tag, grid)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := Merge(shards...)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		if err := Verify(plan, cells); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.Save(tag, grid, cells); err != nil {
-		return nil, err
-	}
-	return cells, nil
 }

@@ -3,10 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"poise/internal/atomicfile"
 	"poise/internal/poise"
 )
 
@@ -228,21 +228,5 @@ func writeWeightsAtomic(path string, w poise.Weights) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".weights.*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return atomicfile.WriteFile(path, data, 0o644)
 }

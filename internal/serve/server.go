@@ -422,6 +422,15 @@ func isPoisetrace(data []byte) bool {
 		(len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b)
 }
 
+// Connection limits of the service's HTTP server: a client that trickles
+// its request headers, or parks an idle keep-alive connection, cannot
+// hold a connection open forever. Request bodies are bounded
+// separately by Config.MaxBody.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the service on addr until ctx is cancelled or the
 // listener fails, then shuts down gracefully: in-flight requests get
 // http.Server.Shutdown's drain window, and the retrainer folds any
@@ -436,7 +445,7 @@ func (s *Server) Serve(ctx context.Context, addr string, addrCh chan<- string) e
 	if addrCh != nil {
 		addrCh <- ln.Addr().String()
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {

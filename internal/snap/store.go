@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"poise/internal/atomicfile"
 )
 
 // Store is a content-addressed snapshot directory: each snapshot lives
@@ -57,22 +58,7 @@ func (s *Store) Save(sn *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	final := s.Path(sn.Key)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("snap: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snap: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(s.Path(sn.Key), data, 0o600); err != nil {
 		return fmt.Errorf("snap: %w", err)
 	}
 	return nil
